@@ -3,6 +3,10 @@
 // equal timestamps fire in scheduling order, so a simulation driven by a
 // seeded RNG is fully reproducible.
 //
+// There is one way to schedule: ScheduleEvent/ScheduleEventAt with a typed
+// Event. The engine stores no closures, so a caller that needs a one-off
+// callback defines a small type with a Fire method.
+//
 // The queue is a hand-rolled 4-ary min-heap of event values stored inline
 // in a single slice — no per-event boxing, no interface round-trips through
 // container/heap, and no pointer chasing during sift operations. Popped
@@ -15,9 +19,9 @@ import (
 	"time"
 )
 
-// Event is a typed simulation event. Hot paths schedule pooled Event
-// records via ScheduleEvent instead of closures, keeping steady-state
-// event dispatch allocation-free; Fire runs when the event's time comes.
+// Event is a simulation event; Fire runs when the event's time comes.
+// Hot paths schedule pooled Event records, keeping steady-state event
+// dispatch allocation-free.
 type Event interface {
 	Fire()
 }
@@ -41,25 +45,6 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.queue.events) }
-
-// Schedule queues fn to run after delay. Negative delays are clamped to
-// zero (the event fires "now", after already-queued events at this time).
-func (e *Engine) Schedule(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.ScheduleAt(e.now+delay, fn)
-}
-
-// ScheduleAt queues fn at an absolute virtual time. Times in the past are
-// clamped to the current time.
-func (e *Engine) ScheduleAt(at time.Duration, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, fn: fn})
-}
 
 // ScheduleEvent queues a typed event after delay. Negative delays are
 // clamped to zero. The Engine holds only the interface value; callers own
@@ -95,11 +80,7 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.queue.pop()
 	e.now = ev.at
-	if ev.ev != nil {
-		ev.ev.Fire()
-	} else {
-		ev.fn()
-	}
+	ev.ev.Fire()
 	return true
 }
 
@@ -161,12 +142,10 @@ func (e *Engine) AdvanceTo(horizon time.Duration) int {
 	return processed
 }
 
-// PendingEvent is one queued event surrendered by TakePending. Exactly one
-// of Ev and Fn is set, mirroring the two scheduling paths.
+// PendingEvent is one queued event surrendered by TakePending.
 type PendingEvent struct {
 	At time.Duration
 	Ev Event
-	Fn func()
 }
 
 // TakePending removes and returns every queued event in (time, scheduling)
@@ -178,21 +157,21 @@ func (e *Engine) TakePending() []PendingEvent {
 	out := make([]PendingEvent, 0, len(e.queue.events))
 	for len(e.queue.events) > 0 {
 		ev := e.queue.pop()
-		out = append(out, PendingEvent{At: ev.at, Ev: ev.ev, Fn: ev.fn})
+		out = append(out, PendingEvent{At: ev.at, Ev: ev.ev})
 	}
 	return out
 }
 
-// event is one scheduled callback or typed event, stored by value.
+// event is one scheduled event, stored by value: 32 bytes on 64-bit
+// platforms, half a cache line.
 type event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
 	ev  Event
 }
 
 // before reports strict heap order. seq strictly increases across
-// Schedule* calls, so (at, seq) is a total order and equal-timestamp
+// ScheduleEvent* calls, so (at, seq) is a total order and equal-timestamp
 // events pop in exact FIFO scheduling order regardless of heap shape.
 //
 //rstorm:hotpath
@@ -222,7 +201,7 @@ func (q *eventQueue) pop() event {
 	top := es[0]
 	n := len(es) - 1
 	es[0] = es[n]
-	es[n] = event{} // release fn/ev references; capacity is retained
+	es[n] = event{} // release the ev reference; capacity is retained
 	q.events = es[:n]
 	if n > 1 {
 		q.siftDown(0)

@@ -10,9 +10,9 @@ import (
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(3*time.Second, func() { order = append(order, 3) })
-	e.Schedule(1*time.Second, func() { order = append(order, 1) })
-	e.Schedule(2*time.Second, func() { order = append(order, 2) })
+	e.ScheduleEvent(3*time.Second, fnEvent(func() { order = append(order, 3) }))
+	e.ScheduleEvent(1*time.Second, fnEvent(func() { order = append(order, 1) }))
+	e.ScheduleEvent(2*time.Second, fnEvent(func() { order = append(order, 2) }))
 	if n := e.RunUntil(10 * time.Second); n != 3 {
 		t.Fatalf("processed %d events, want 3", n)
 	}
@@ -31,7 +31,7 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		e.Schedule(time.Second, func() { order = append(order, i) })
+		e.ScheduleEvent(time.Second, fnEvent(func() { order = append(order, i) }))
 	}
 	e.Drain()
 	for i := 0; i < 5; i++ {
@@ -44,12 +44,12 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 func TestEventsScheduledDuringRun(t *testing.T) {
 	e := NewEngine()
 	var fired []time.Duration
-	e.Schedule(time.Second, func() {
+	e.ScheduleEvent(time.Second, fnEvent(func() {
 		fired = append(fired, e.Now())
-		e.Schedule(time.Second, func() {
+		e.ScheduleEvent(time.Second, fnEvent(func() {
 			fired = append(fired, e.Now())
-		})
-	})
+		}))
+	}))
 	e.RunUntil(5 * time.Second)
 	if len(fired) != 2 || fired[0] != time.Second || fired[1] != 2*time.Second {
 		t.Fatalf("fired = %v", fired)
@@ -59,7 +59,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestRunUntilHorizonExcludesLaterEvents(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.Schedule(10*time.Second, func() { ran = true })
+	e.ScheduleEvent(10*time.Second, fnEvent(func() { ran = true }))
 	e.RunUntil(5 * time.Second)
 	if ran {
 		t.Fatal("event past horizon ran")
@@ -78,25 +78,25 @@ func TestRunUntilHorizonExcludesLaterEvents(t *testing.T) {
 
 func TestNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(time.Second, func() {
-		e.Schedule(-time.Hour, func() {
+	e.ScheduleEvent(time.Second, fnEvent(func() {
+		e.ScheduleEvent(-time.Hour, fnEvent(func() {
 			if e.Now() != time.Second {
 				t.Errorf("clamped event at %v, want 1s", e.Now())
 			}
-		})
-	})
+		}))
+	}))
 	e.Drain()
 }
 
 func TestScheduleAtPastClamped(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(2*time.Second, func() {
-		e.ScheduleAt(time.Second, func() {
+	e.ScheduleEvent(2*time.Second, fnEvent(func() {
+		e.ScheduleEventAt(time.Second, fnEvent(func() {
 			if e.Now() != 2*time.Second {
 				t.Errorf("past event at %v, want 2s", e.Now())
 			}
-		})
-	})
+		}))
+	}))
 	e.Drain()
 }
 
@@ -123,7 +123,7 @@ func TestTypedEventsFireInTimeOrder(t *testing.T) {
 	var order []int
 	e.ScheduleEvent(3*time.Second, &recordingEvent{id: 3, out: &order})
 	e.ScheduleEvent(1*time.Second, &recordingEvent{id: 1, out: &order})
-	e.Schedule(2*time.Second, func() { order = append(order, 2) })
+	e.ScheduleEvent(2*time.Second, fnEvent(func() { order = append(order, 2) }))
 	e.Drain()
 	for i, v := range []int{1, 2, 3} {
 		if order[i] != v {
@@ -140,7 +140,7 @@ func TestTypedEventsInterleaveFIFOWithClosures(t *testing.T) {
 			e.ScheduleEvent(time.Second, &recordingEvent{id: i, out: &order})
 		} else {
 			i := i
-			e.Schedule(time.Second, func() { order = append(order, i) })
+			e.ScheduleEvent(time.Second, fnEvent(func() { order = append(order, i) }))
 		}
 	}
 	e.Drain()
@@ -152,7 +152,7 @@ func TestTypedEventsInterleaveFIFOWithClosures(t *testing.T) {
 }
 
 // TestHeapFIFOUnderRandomInterleaving is the property test for the 4-ary
-// heap: under randomized interleaved Schedule/Step sequences with heavily
+// heap: under randomized interleaved ScheduleEventAt/Step sequences with heavily
 // colliding timestamps, events sharing a timestamp must fire in exact
 // scheduling order, and timestamps must be globally non-decreasing.
 func TestHeapFIFOUnderRandomInterleaving(t *testing.T) {
@@ -170,12 +170,7 @@ func TestHeapFIFOUnderRandomInterleaving(t *testing.T) {
 			at := e.Now() + time.Duration(rng.Intn(4))*time.Millisecond
 			id := seq
 			seq++
-			if rng.Intn(2) == 0 {
-				e.ScheduleAt(at, func() { log = append(log, fired{at: at, seq: id}) })
-			} else {
-				at := at
-				e.ScheduleEventAt(at, eventFunc(func() { log = append(log, fired{at: at, seq: id}) }))
-			}
+			e.ScheduleEventAt(at, fnEvent(func() { log = append(log, fired{at: at, seq: id}) }))
 		}
 		for op := 0; op < 400; op++ {
 			if rng.Intn(3) == 0 {
@@ -201,18 +196,19 @@ func TestHeapFIFOUnderRandomInterleaving(t *testing.T) {
 	}
 }
 
-// eventFunc adapts a func to Event for tests.
-type eventFunc func()
+// fnEvent adapts a func to Event, so tests can schedule callbacks through
+// the engine's single typed-event path.
+type fnEvent func()
 
-func (f eventFunc) Fire() { f() }
+func (f fnEvent) Fire() { f() }
 
 func TestPeekTime(t *testing.T) {
 	e := NewEngine()
 	if _, ok := e.PeekTime(); ok {
 		t.Fatal("PeekTime on empty queue reported an event")
 	}
-	e.Schedule(3*time.Second, func() {})
-	e.Schedule(time.Second, func() {})
+	e.ScheduleEvent(3*time.Second, fnEvent(func() {}))
+	e.ScheduleEvent(time.Second, fnEvent(func() {}))
 	if at, ok := e.PeekTime(); !ok || at != time.Second {
 		t.Fatalf("PeekTime = %v, %v, want 1s, true", at, ok)
 	}
@@ -231,7 +227,7 @@ func TestAdvanceToExcludesHorizonEvents(t *testing.T) {
 	var fired []time.Duration
 	for _, at := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second} {
 		at := at
-		e.ScheduleAt(at, func() { fired = append(fired, at) })
+		e.ScheduleEventAt(at, fnEvent(func() { fired = append(fired, at) }))
 	}
 	if n := e.AdvanceTo(2 * time.Second); n != 1 {
 		t.Fatalf("processed %d events, want 1 (event at the horizon must stay pending)", n)
@@ -270,7 +266,7 @@ func TestQuickAdvanceToWindowsMatchRunUntil(t *testing.T) {
 				// Few distinct timestamps -> many FIFO collisions.
 				at := time.Duration(r%16) * 10 * time.Millisecond
 				i := i
-				e.ScheduleAt(at, func() { order = append(order, i) })
+				e.ScheduleEventAt(at, fnEvent(func() { order = append(order, i) }))
 			}
 			return e, &order
 		}
@@ -313,9 +309,9 @@ func TestTakePendingPreservesOrder(t *testing.T) {
 		i := i
 		at := time.Duration(i%4) * time.Second // heavy timestamp collisions
 		if i%2 == 0 {
-			e.ScheduleAt(at, func() { order = append(order, i) })
+			e.ScheduleEventAt(at, fnEvent(func() { order = append(order, i) }))
 		} else {
-			e.ScheduleEventAt(at, eventFunc(func() { order = append(order, i) }))
+			e.ScheduleEventAt(at, &recordingEvent{id: i, out: &order})
 		}
 	}
 	taken := e.TakePending()
@@ -332,11 +328,7 @@ func TestTakePendingPreservesOrder(t *testing.T) {
 	}
 	fresh := NewEngine()
 	for _, pe := range taken {
-		if pe.Ev != nil {
-			fresh.ScheduleEventAt(pe.At, pe.Ev)
-		} else {
-			fresh.ScheduleAt(pe.At, pe.Fn)
-		}
+		fresh.ScheduleEventAt(pe.At, pe.Ev)
 	}
 	fresh.Drain()
 	want := []int{0, 4, 8, 12, 16, 1, 5, 9, 13, 17, 2, 6, 10, 14, 18, 3, 7, 11, 15, 19}
@@ -354,12 +346,12 @@ func TestQuickClockNeverGoesBackwards(t *testing.T) {
 		ok := true
 		for _, d := range delays {
 			delay := time.Duration(d) * time.Millisecond
-			e.Schedule(delay, func() {
+			e.ScheduleEvent(delay, fnEvent(func() {
 				if e.Now() < last {
 					ok = false
 				}
 				last = e.Now()
-			})
+			}))
 		}
 		e.Drain()
 		return ok
@@ -378,7 +370,7 @@ func TestQuickRunUntilProcessesExactlyHorizonEvents(t *testing.T) {
 			if d <= 100*time.Millisecond {
 				within++
 			}
-			e.Schedule(d, func() {})
+			e.ScheduleEvent(d, fnEvent(func() {}))
 		}
 		return e.RunUntil(100*time.Millisecond) == within
 	}

@@ -134,12 +134,18 @@ func advanceBlock(block []Lane, horizon time.Duration) {
 	}
 }
 
-// Ring is a growable FIFO inbox for cross-lane messages. It is
+// Ring is a growable FIFO backed by a circular buffer. It is the
+// simulator's one queue type: cross-lane inboxes here, and task queues,
+// producer waiter lists and NIC/uplink queues in internal/simulator.
+// Unlike the append/re-slice idiom it never slides its backing array, so
+// steady state is allocation-free once the buffer reaches its high-water
+// mark.
+//
+// A Ring is not safe for concurrent use. As a cross-lane inbox it is
 // single-producer/single-consumer by phase, not by locking: during a
 // window exactly one lane pushes, and at the barrier exactly the
 // coordinator pops — the Advance barrier itself is the fence between the
-// phases, so the hot path carries no atomics. Steady state is
-// allocation-free: capacity is retained across windows.
+// phases, so the hot path carries no atomics.
 type Ring[T any] struct {
 	buf  []T
 	head int
@@ -153,6 +159,8 @@ func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
+	// Compare-and-wrap instead of modulo: this runs per tuple hop, and an
+	// integer divide is the most expensive thing left in the path.
 	i := r.head + r.n
 	if i >= len(r.buf) {
 		i -= len(r.buf)
@@ -182,9 +190,15 @@ func (r *Ring[T]) Pop() T {
 //rstorm:hotpath
 func (r *Ring[T]) Len() int { return r.n }
 
-// grow doubles capacity, relinearizing the queue.
+// grow doubles capacity (starting at 8), relinearizing the queue. Doubling
+// from 8 keeps a power-of-two bound exact: a 512-slot NIC queue tops out
+// at 512 slots, not 1023.
 func (r *Ring[T]) grow() {
-	next := make([]T, 2*len(r.buf)+1)
+	capacity := 2 * len(r.buf)
+	if capacity == 0 {
+		capacity = 8
+	}
+	next := make([]T, capacity)
 	for i := 0; i < r.n; i++ {
 		j := r.head + i
 		if j >= len(r.buf) {

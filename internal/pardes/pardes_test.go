@@ -84,9 +84,9 @@ func TestCoordinatorWindowedEnginesMatchSerial(t *testing.T) {
 			var tick func()
 			tick = func() {
 				counts[i]++
-				e.Schedule(period, tick)
+				e.ScheduleEvent(period, fnEvent(tick))
 			}
-			e.Schedule(period, tick)
+			e.ScheduleEvent(period, fnEvent(tick))
 			engines[i] = e
 		}
 		c := NewCoordinator(engines, workers)
@@ -144,6 +144,19 @@ func TestRingFIFOAndReuse(t *testing.T) {
 	if expect != next {
 		t.Fatalf("popped %d of %d", expect, next)
 	}
+	// Growth starts at 8 and doubles, so a power-of-two bound is exact:
+	// the simulator's 512-slot queues never hold a larger buffer.
+	var bounded Ring[int]
+	for i := 0; i < 512; i++ {
+		bounded.Push(i)
+		want := 8
+		for want < bounded.Len() {
+			want *= 2
+		}
+		if c := len(bounded.buf); c != want {
+			t.Fatalf("capacity %d holding %d, want %d", c, bounded.Len(), want)
+		}
+	}
 }
 
 // BenchmarkRingSteadyState holds the inbox ring's push/drain cycle at
@@ -187,8 +200,8 @@ func BenchmarkCoordinatorWindow(b *testing.B) {
 				e := des.NewEngine()
 				period := time.Duration(50+7*i) * time.Microsecond
 				var tick func()
-				tick = func() { e.Schedule(period, tick) }
-				e.Schedule(period, tick)
+				tick = func() { e.ScheduleEvent(period, fnEvent(tick)) }
+				e.ScheduleEvent(period, fnEvent(tick))
 				engines[i] = e
 			}
 			c := NewCoordinator(engines, workers)
@@ -203,3 +216,8 @@ func BenchmarkCoordinatorWindow(b *testing.B) {
 		})
 	}
 }
+
+// fnEvent adapts a func to des.Event for the engine-backed lane tests.
+type fnEvent func()
+
+func (f fnEvent) Fire() { f() }

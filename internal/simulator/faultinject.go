@@ -68,9 +68,19 @@ func (s *Simulation) InjectFault(f faults.Fault) error {
 	// The fault fires on the faulted node's lane: it mutates that lane's
 	// node, tasks, and links, so it must run inside that lane's loop.
 	ln := s.nodes[f.Node].lane
-	ln.eng.Schedule(f.At-now, func() { ln.applyFault(f) })
+	ln.eng.ScheduleEvent(f.At-now, &faultEvent{ln: ln, f: f})
 	return nil
 }
+
+// faultEvent applies one fault on the faulted node's lane. Faults are
+// rare, so each is a fresh record rather than a pooled simEvent; a node
+// never changes lanes, so rehoming leaves it on its lane.
+type faultEvent struct {
+	ln *simLane
+	f  faults.Fault
+}
+
+func (e *faultEvent) Fire() { e.ln.applyFault(e.f) }
 
 // applyFault dispatches one fault event inside the faulted node's lane.
 // Redundant events (crash of a dead node, recover of a healthy one) are
