@@ -28,11 +28,14 @@ type FaultRecord struct {
 	Kind faults.Kind
 	Node cluster.NodeID
 	At   time.Duration
+	// Factor is the service-time multiplier of a Slow record; 0 otherwise.
+	Factor float64
 }
 
-// String renders the record in schedule syntax.
+// String renders the record in schedule syntax, parseable by
+// faults.ParseSchedule.
 func (fr FaultRecord) String() string {
-	return faults.Fault{Kind: fr.Kind, Node: fr.Node, At: fr.At}.String()
+	return faults.Fault{Kind: fr.Kind, Node: fr.Node, At: fr.At, Factor: fr.Factor}.String()
 }
 
 // spoutReplay is one failed tuple tree queued for re-emission on its
@@ -113,6 +116,9 @@ func (ln *simLane) applyFault(f faults.Fault) {
 		return
 	}
 	fr := FaultRecord{Kind: f.Kind, Node: f.Node, At: ln.eng.Now()}
+	if f.Kind == faults.Slow {
+		fr.Factor = f.Factor
+	}
 	if s.sharded {
 		ln.faultBuf = append(ln.faultBuf, fr)
 	} else {

@@ -126,6 +126,44 @@ func TestSlowFaultDegradesAndRecoverRestores(t *testing.T) {
 	}
 }
 
+// TestFaultRecordsRoundTrip: every applied record — crash, recover and
+// slow — renders in schedule syntax that faults.ParseSchedule accepts and
+// parses back to the same fault, so a slow record keeps its factor. The
+// decision journal's fault-injected detail is this rendering.
+func TestFaultRecordsRoundTrip(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		cfg := shortCfg()
+		cfg.Shards = shards
+		sim, _, c := startSpread(t, cfg)
+		ids := c.NodeIDs()
+		sched := faults.Schedule{
+			{Kind: faults.Slow, Node: ids[1], At: time.Second, Factor: 2.5},
+			{Kind: faults.Crash, Node: ids[2], At: 2 * time.Second},
+			{Kind: faults.Recover, Node: ids[2], At: 4 * time.Second},
+			{Kind: faults.Recover, Node: ids[1], At: 5 * time.Second},
+		}
+		if err := sched.Apply(sim); err != nil {
+			t.Fatalf("shards=%d: Apply: %v", shards, err)
+		}
+		res, err := sim.Finish()
+		if err != nil {
+			t.Fatalf("shards=%d: Finish: %v", shards, err)
+		}
+		if len(res.Faults) != len(sched) {
+			t.Fatalf("shards=%d: fault log = %v, want %d records", shards, res.Faults, len(sched))
+		}
+		for i, fr := range res.Faults {
+			parsed, err := faults.ParseSchedule(fr.String())
+			if err != nil {
+				t.Fatalf("shards=%d: record %q does not parse: %v", shards, fr, err)
+			}
+			if len(parsed) != 1 || parsed[0] != sched[i] {
+				t.Errorf("shards=%d: record %q parsed to %v, want the applied fault %v", shards, fr, parsed, sched[i])
+			}
+		}
+	}
+}
+
 // startSpread starts chainTopo with an explicit placement — spouts on
 // node 0, "work" bolts on node 1, sinks on node 2 — so tests can crash a
 // bolt-carrying node while the spouts survive.
