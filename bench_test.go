@@ -7,13 +7,14 @@ import (
 
 	"rstorm"
 	"rstorm/internal/cluster"
+	"rstorm/internal/core"
 	"rstorm/internal/experiments"
 	"rstorm/internal/workloads"
 )
 
 // benchOpts keeps figure benchmarks affordable: three 4-second windows per
 // run (one warm-up) instead of the paper's 15 minutes. Figures driven from
-// cmd/rstorm-bench use longer durations; EXPERIMENTS.md records a full run.
+// cmd/rstorm-bench use longer durations.
 func benchOpts() experiments.Options {
 	return experiments.Options{
 		Duration:      12 * time.Second,
@@ -167,7 +168,7 @@ func benchSimulatorThroughputObserved(b *testing.B, memoryModel, observed bool) 
 // on a 2048 MB node): those benchmarks measure the accounting, not the
 // kills — a single OOM would change the workload and make the comparison
 // meaningless.
-func benchEngineTopology(b *testing.B, name string, par int, memoryModel bool) *rstorm.Topology {
+func benchEngineTopology(b testing.TB, name string, par int, memoryModel bool) *rstorm.Topology {
 	b.Helper()
 	profile := func(memMB float64) rstorm.ExecProfile {
 		p := rstorm.ExecProfile{CPUPerTuple: 100 * time.Microsecond, TupleBytes: 256}
@@ -268,26 +269,53 @@ func BenchmarkSimulatorThroughputObservability(b *testing.B) {
 	benchSimulatorThroughputFull(b, false, false, true)
 }
 
-// BenchmarkSimulatorThroughputSharded is the many-core speedup benchmark
-// (DESIGN.md §11): a 400-node, 8-rack cluster running a 96-task pipeline
-// spread evenly across racks, under the legacy kernel (shards=0) and the
-// sharded conservative-parallel kernel at 1 and 4 workers. tuples/s is
-// the comparison metric; on multi-core hardware shards=4 should exceed
-// shards=0 by ≥2×, while shards=1 measures the sharded kernel's window
-// and handoff overhead without any parallelism. Results for shards>=1
-// are byte-identical at every worker count, so the variants differ only
-// in wall-clock.
-func BenchmarkSimulatorThroughputSharded(b *testing.B) {
+// shardBenchSetup builds the sharded benchmark's workload: a 96-task
+// pipeline on a 400-node, 8-rack cluster, pinned rack by rack. Task i goes
+// to rack i mod 8, one task per node, so every rack's lane carries the
+// same share of the load — the placement a speedup measurement needs, not
+// the one a network-cost minimizer would pick.
+func shardBenchSetup(tb testing.TB) (*rstorm.Cluster, *rstorm.Topology, *rstorm.Assignment) {
+	tb.Helper()
 	c, err := cluster.TwoRack(8, 50, cluster.EmulabNodeSpec())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	topo := benchEngineTopology(b, "shardbench", 32, false)
-	// Even spreading (not resource-aware packing) keeps every rack's lane
-	// busy — the placement a speedup measurement needs, not the one a
-	// network-cost minimizer would pick.
-	sched := rstorm.NewEvenScheduler()
-	for _, shards := range []int{0, 1, 4} {
+	topo := benchEngineTopology(tb, "shardbench", 32, false)
+	racks := c.Racks()
+	a := core.NewAssignment(topo.Name(), "rack-round-robin")
+	for _, task := range topo.Tasks() {
+		nodes := c.NodesInRack(racks[task.ID%len(racks)])
+		a.Place(task.ID, core.Placement{Node: nodes[task.ID/len(racks)%len(nodes)]})
+	}
+	return c, topo, a
+}
+
+// TestShardBenchLoadsEveryRack guards BenchmarkSimulatorThroughputSharded:
+// the sharded kernel runs one lane per rack, so a rack without tasks is an
+// idle lane and the benchmark would time less parallelism than it claims.
+func TestShardBenchLoadsEveryRack(t *testing.T) {
+	c, _, a := shardBenchSetup(t)
+	perRack := map[rstorm.RackID]int{}
+	for _, p := range a.Placements {
+		perRack[c.Node(p.Node).Rack]++
+	}
+	for _, rack := range c.Racks() {
+		if perRack[rack] == 0 {
+			t.Errorf("rack %s hosts no task: its lane would idle (tasks per rack: %v)", rack, perRack)
+		}
+	}
+}
+
+// BenchmarkSimulatorThroughputSharded measures the sharded kernel
+// (DESIGN.md §11) on shardBenchSetup's balanced placement: the legacy
+// kernel (shards=0), the sharded kernel on one worker (shards=1: window
+// and handoff overhead without parallelism) and on two (shards=2 over
+// shards=1 is the two-core speedup). tuples/s is the comparison metric.
+// Results for shards>=1 are byte-identical at every worker count, so
+// those variants differ only in wall-clock.
+func BenchmarkSimulatorThroughputSharded(b *testing.B) {
+	c, topo, a := shardBenchSetup(b)
+	for _, shards := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			var processed int64
@@ -295,7 +323,14 @@ func BenchmarkSimulatorThroughputSharded(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := rstorm.SimConfig{Duration: 2 * time.Second,
 					MetricsWindow: time.Second, Shards: shards}
-				result, err := rstorm.ScheduleAndSimulate(c, cfg, sched, topo)
+				sim, err := rstorm.NewSimulation(c, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sim.AddTopology(topo, a); err != nil {
+					b.Fatal(err)
+				}
+				result, err := sim.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
