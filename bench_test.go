@@ -13,8 +13,8 @@ import (
 )
 
 // benchOpts keeps figure benchmarks affordable: three 4-second windows per
-// run (one warm-up) instead of the paper's 15 minutes. Figures driven from
-// cmd/rstorm-bench use longer durations.
+// run (one warm-up) instead of the paper's 15 minutes. Figures run with
+// rstorm-sim -matrix use longer durations.
 func benchOpts() experiments.Options {
 	return experiments.Options{
 		Duration:      12 * time.Second,

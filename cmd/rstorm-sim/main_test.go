@@ -366,8 +366,8 @@ func TestRunChaosSchedule(t *testing.T) {
 // TestRunChaosMode runs the failover experiment end to end from the CLI.
 func TestRunChaosMode(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, []string{"-chaos", "-duration", "6s"}); err != nil {
-		t.Fatalf("run -chaos: %v", err)
+	if err := run(&out, []string{"-matrix", "failover", "-duration", "6s"}); err != nil {
+		t.Fatalf("run -matrix failover: %v", err)
 	}
 	s := out.String()
 	for _, want := range []string{
@@ -430,7 +430,7 @@ func TestRunMatrixRejectsBadSpecs(t *testing.T) {
 		{[]string{"-matrix", "fig9b × seeds="}, "matrix spec"},
 		{[]string{"-matrix", "fig99 × seeds=1"}, `unknown experiment "fig99"`},
 		{[]string{"-matrix", "fig9b", "-adaptive"}, "composes with no other mode flag"},
-		{[]string{"-matrix", "fig9b", "-chaos"}, "composes with no other mode flag"},
+		{[]string{"-matrix", "fig9b", "-memory"}, "composes with no other mode flag"},
 		{[]string{"-matrix", "fig9b", "-fail", "node-0-0@1s"}, "composes with no other mode flag"},
 		{[]string{"-workers", "4", "-duration", "1s"}, "-workers only applies to -matrix"},
 	}
@@ -442,10 +442,24 @@ func TestRunMatrixRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestRunMatrixUnknownIDNamesRegistered: an unknown experiment ID is an
+// error that lists the registered IDs, so the CLI needs no -list mode.
+func TestRunMatrixUnknownIDNamesRegistered(t *testing.T) {
+	err := run(&bytes.Buffer{}, []string{"-matrix", "fig99"})
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, id := range []string{"fig8a", "failover", "multitenant"} {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not name registered experiment %q", err, id)
+		}
+	}
+}
+
 func TestRunMultiTenantMode(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, []string{"-multitenant", "-duration", "6s"}); err != nil {
-		t.Fatalf("run -multitenant: %v", err)
+	if err := run(&out, []string{"-matrix", "multitenant", "-duration", "6s"}); err != nil {
+		t.Fatalf("run -matrix multitenant: %v", err)
 	}
 	s := out.String()
 	for _, want := range []string{
@@ -460,14 +474,14 @@ func TestRunMultiTenantMode(t *testing.T) {
 		}
 	}
 	// A duration too short for the scenario's epochs is a clean error.
-	if err := run(&bytes.Buffer{}, []string{"-multitenant", "-duration", "1s"}); err == nil {
+	if err := run(&bytes.Buffer{}, []string{"-matrix", "multitenant", "-duration", "1s"}); err == nil {
 		t.Error("1s multitenant run accepted")
 	}
 }
 
 // TestRunShardedMode pins the -shards contract end to end: the sharded
 // kernel's CLI output is byte-identical for every worker count, composes
-// with the mode flags (-chaos shown here), and the single-ordered-loop
+// with the mode flags (-matrix failover shown here), and the single-ordered-loop
 // observability paths reject it.
 func TestRunShardedMode(t *testing.T) {
 	direct := func(shards string) string {
@@ -490,12 +504,12 @@ func TestRunShardedMode(t *testing.T) {
 
 	chaos := func(shards string) string {
 		var out bytes.Buffer
-		args := []string{"-chaos", "-duration", "6s"}
+		args := []string{"-matrix", "failover", "-duration", "6s"}
 		if shards != "" {
 			args = append(args, "-shards", shards)
 		}
 		if err := run(&out, args); err != nil {
-			t.Fatalf("run -chaos -shards %q: %v", shards, err)
+			t.Fatalf("run -matrix failover -shards %q: %v", shards, err)
 		}
 		return out.String()
 	}
@@ -504,7 +518,7 @@ func TestRunShardedMode(t *testing.T) {
 		t.Fatalf("chaos run produced no report:\n%s", chaosBase)
 	}
 	if got := chaos("4"); got != chaosBase {
-		t.Errorf("-chaos -shards 4 output diverged from -shards 1")
+		t.Errorf("-matrix failover -shards 4 output diverged from -shards 1")
 	}
 
 	for _, c := range []struct {

@@ -62,9 +62,9 @@ func run() error {
 		fmt.Printf("  %-12s %2d nodes, %2d workers\n", name, len(a.NodesUsed()), a.WorkersUsed())
 	}
 
-	// A machine dies: its supervisor session expires, the next master
-	// cycle notices, tears down affected topologies, and reschedules
-	// them on the survivors.
+	// A machine dies: its supervisor session expires, and the next master
+	// cycle's heartbeat tick declares it dead and restarts only its tasks
+	// on the survivors; every other task keeps its placement.
 	victim := n.Assignment("processing").NodesUsed()[0]
 	fmt.Printf("\nkilling supervisor on %s...\n", victim)
 	if err := supervisors[victim].Fail(); err != nil {

@@ -19,18 +19,22 @@ const (
 	TriggerFailover  = "failover"  // tasks lost to a node crash need restarting
 )
 
+// Fixed hotspot and imbalance thresholds.
+const (
+	// highUtil marks a component hot when its EWMA utilization reaches
+	// this fraction.
+	highUtil = 0.9
+	// queueHigh marks a component hot when its EWMA queue fill reaches
+	// this fraction (overflow pressure shows up here before utilization
+	// does for bursty stages).
+	queueHigh = 0.7
+	// lowUtil marks a topology imbalanced (over-provisioned) when every
+	// component's EWMA utilization is at or below it.
+	lowUtil = 0.2
+)
+
 // ControllerConfig tunes hotspot detection and the rebalance policy.
 type ControllerConfig struct {
-	// HighUtil marks a component hot when its EWMA utilization reaches
-	// this fraction. Default 0.9.
-	HighUtil float64
-	// QueueHigh marks a component hot when its EWMA queue fill reaches
-	// this fraction (overflow pressure shows up here before utilization
-	// does for bursty stages). Default 0.7.
-	QueueHigh float64
-	// LowUtil marks a topology imbalanced (over-provisioned) when every
-	// component's EWMA utilization is at or below it. Default 0.2.
-	LowUtil float64
 	// Hysteresis is the number of consecutive windows a condition must
 	// hold before the controller acts — the anti-flap guard. Default 2.
 	Hysteresis int
@@ -71,15 +75,6 @@ type ControllerConfig struct {
 }
 
 func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.HighUtil <= 0 {
-		c.HighUtil = 0.9
-	}
-	if c.QueueHigh <= 0 {
-		c.QueueHigh = 0.7
-	}
-	if c.LowUtil <= 0 {
-		c.LowUtil = 0.2
-	}
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = 2
 	}
@@ -213,10 +208,10 @@ func (c *Controller) OnWindow(samples []simulator.TaskSample) {
 		// migration cannot speed it up. Placement is at fault — and
 		// fixable — only when the host is overcommitted.
 		contended := st.MaxSlowdown > 1.001
-		if contended && (st.MaxUtilization >= c.cfg.HighUtil || st.QueueFill >= c.cfg.QueueHigh) {
+		if contended && (st.MaxUtilization >= highUtil || st.QueueFill >= queueHigh) {
 			ts.winHot = true
 		}
-		if st.MaxUtilization > c.cfg.LowUtil {
+		if st.MaxUtilization > lowUtil {
 			ts.winAllCold = false
 		}
 	})
@@ -457,9 +452,9 @@ func (c *Controller) Status() ControllerStatus {
 	defer c.mu.Unlock()
 	out := ControllerStatus{
 		Windows:    c.profiler.Windows(),
-		HighUtil:   c.cfg.HighUtil,
-		LowUtil:    c.cfg.LowUtil,
-		QueueHigh:  c.cfg.QueueHigh,
+		HighUtil:   highUtil,
+		LowUtil:    lowUtil,
+		QueueHigh:  queueHigh,
 		MemHigh:    c.cfg.MemHigh,
 		Hysteresis: c.cfg.Hysteresis,
 		Cooldown:   c.cfg.Cooldown,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"rstorm/internal/orchestra"
 )
@@ -75,7 +76,12 @@ func MatrixCells(spec *orchestra.Spec, base Options) ([]orchestra.Cell, error) {
 	for _, cs := range cellSpecs {
 		e, ok := ByID(cs.ID)
 		if !ok {
-			return nil, fmt.Errorf("unknown experiment %q in matrix spec (rstorm-bench -list names them)", cs.ID)
+			var ids []string
+			for _, known := range All() {
+				ids = append(ids, known.ID)
+			}
+			return nil, fmt.Errorf("unknown experiment %q in matrix spec (registered: %s)",
+				cs.ID, strings.Join(ids, ", "))
 		}
 		opts := base
 		if cs.Seed != 0 {

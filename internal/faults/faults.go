@@ -1,7 +1,7 @@
 // Package faults is the chaos-injection harness: a declarative fault
 // model (crash, recover, slow) with a scripted-schedule parser, consumed
 // by the simulator's injection API (Simulation.InjectFault), the failover
-// experiment, and rstorm-sim's -fail/-chaos flags.
+// experiment, and rstorm-sim's -fail flag.
 //
 // A schedule is a comma-separated list of events:
 //
@@ -16,6 +16,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,8 +88,10 @@ func (f Fault) Validate() error {
 	switch f.Kind {
 	case Crash, Recover:
 	case Slow:
-		if f.Factor <= 1 {
-			return fmt.Errorf("slow factor %g, want > 1", f.Factor)
+		// !(> 1) also rejects NaN; a factor must stay finite to scale
+		// service times.
+		if !(f.Factor > 1) || math.IsInf(f.Factor, 1) {
+			return fmt.Errorf("slow factor %g, want finite > 1", f.Factor)
 		}
 	default:
 		return fmt.Errorf("unknown fault kind %d", f.Kind)

@@ -41,6 +41,8 @@ func TestParseEventErrors(t *testing.T) {
 		"slow:node-0-3@20s",     // slow without factor
 		"slow:node-0-3@20s:1.0", // factor must exceed 1
 		"slow:node-0-3@20s:x",   // non-numeric factor
+		"slow:node-0-3@20s:NaN", // factor must be a number
+		"slow:node-0-3@20s:Inf", // factor must be finite
 	}
 	for _, spec := range cases {
 		if _, err := ParseEvent(spec); err == nil {

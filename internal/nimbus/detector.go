@@ -3,6 +3,7 @@ package nimbus
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rstorm/internal/cluster"
@@ -11,19 +12,21 @@ import (
 	"rstorm/internal/trace"
 )
 
-// The heartbeat failure detector closes the loop DetectFailures leaves
-// open: DetectFailures only notices a supervisor whose *session* expired,
-// and its repair is a full teardown — every task of every affected
-// topology is requeued and rescheduled from scratch. The detector instead
-// watches heartbeat progress (a wedged supervisor holds its session but
-// stops publishing fresh sequence numbers), walks each node through
-// healthy → suspect → dead with configurable patience, and repairs
-// incrementally: a failover scheduling round re-places only the dead
-// node's tasks via core.IncrementalReschedule's Restart option, leaving
-// every healthy worker untouched. Recovered nodes are flap-damped — held
-// out of the availability picture until they prove themselves with a run
-// of fresh heartbeats — so a bouncing machine cannot churn placements on
+// The heartbeat failure detector is Nimbus's only failure path. It
+// watches heartbeat progress, not just presence: a wedged supervisor holds
+// its session but stops publishing fresh sequence numbers. Each node walks
+// healthy → suspect → dead with configurable patience, and session expiry
+// (presence gone from the store) is death at the next tick. Repair is
+// incremental: a failover scheduling round re-places only the dead node's
+// tasks via core.IncrementalReschedule's Restart option, leaving every
+// healthy worker untouched. Recovered nodes are flap-damped — held out of
+// the availability picture until they prove themselves with a run of
+// fresh heartbeats — so a bouncing machine cannot churn placements on
 // every bounce.
+//
+// Storm's contract follows: a registered supervisor must heartbeat at
+// least once every DeadAfter ticks, and a restarted supervisor's capacity
+// returns only after FlapDamping fresh beats.
 
 // DetectorConfig tunes the heartbeat failure detector.
 type DetectorConfig struct {
@@ -132,7 +135,6 @@ type NodeHealthStatus struct {
 // DetectorStatus is the snapshot served by the StatisticServer's /faults
 // route.
 type DetectorStatus struct {
-	Enabled      bool               `json:"enabled"`
 	SuspectAfter int                `json:"suspectAfter,omitempty"`
 	DeadAfter    int                `json:"deadAfter,omitempty"`
 	FlapDamping  int                `json:"flapDamping,omitempty"`
@@ -141,24 +143,21 @@ type DetectorStatus struct {
 	Events       []FailoverEvent    `json:"events,omitempty"`
 }
 
-// EnableFailureDetector turns the heartbeat failure detector on. Opt-in:
-// without it, Nimbus keeps its legacy behaviour (session expiry noticed
-// by DetectFailures, full teardown repair), byte for byte.
+// EnableFailureDetector sets the detector's thresholds (zero fields take
+// the defaults). The detector always runs; this neither creates nor
+// resets its per-node state.
 func (n *Nimbus) EnableFailureDetector(cfg DetectorConfig) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.detector = &detector{
-		cfg:   cfg.withDefaults(),
-		nodes: make(map[cluster.NodeID]*nodeHealth),
-	}
+	n.detector.cfg = cfg.withDefaults()
 }
 
-// Failovers returns the failover history, oldest first. Nil when the
-// detector is disabled or nothing has failed over.
+// Failovers returns the failover history, oldest first. Nil when nothing
+// has failed over.
 func (n *Nimbus) Failovers() []FailoverEvent {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.detector == nil || len(n.detector.events) == 0 {
+	if len(n.detector.events) == 0 {
 		return nil
 	}
 	out := make([]FailoverEvent, len(n.detector.events))
@@ -170,12 +169,8 @@ func (n *Nimbus) Failovers() []FailoverEvent {
 func (n *Nimbus) DetectorStatus() DetectorStatus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	d := n.detector
-	if d == nil {
-		return DetectorStatus{}
-	}
+	d := &n.detector
 	out := DetectorStatus{
-		Enabled:      true,
 		SuspectAfter: d.cfg.SuspectAfter,
 		DeadAfter:    d.cfg.DeadAfter,
 		FlapDamping:  d.cfg.FlapDamping,
@@ -204,13 +199,22 @@ func (n *Nimbus) DetectorStatus() DetectorStatus {
 // and heartbeat sequence from the state store, advance each node's health
 // state, fail over the tasks of nodes newly declared dead, and restore
 // capacity to nodes that have finished their flap-damping hold. It
-// returns the nodes declared dead this tick. A no-op until
-// EnableFailureDetector.
+// returns the nodes declared dead this tick.
 //
 // Call it on the master's heartbeat cadence; the suspect/dead thresholds
 // are measured in these calls.
 func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
-	// Read presence outside the Nimbus lock; the store has its own.
+	dead, _ := n.heartbeatTick()
+	return dead
+}
+
+// heartbeatTick is HeartbeatTick that also returns the topologies failed
+// over in place this tick (repaired without a full reschedule).
+func (n *Nimbus) heartbeatTick() (newlyDead []cluster.NodeID, repaired []string) {
+	// Read presence under the Nimbus lock so it agrees with the detector
+	// records StartSupervisor creates alongside each presence node.
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	present := make(map[cluster.NodeID]int64)
 	if names, err := n.store.Children(supervisorsPath); err == nil {
 		for _, name := range names {
@@ -221,24 +225,14 @@ func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
 			}
 		}
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	d := n.detector
-	if d == nil {
-		return nil
-	}
+	d := &n.detector
 	d.ticks++
-	var newlyDead, recovered []cluster.NodeID
+	var recovered []cluster.NodeID
 	for _, id := range n.cluster.NodeIDs() { // declaration order: deterministic
 		seq, here := present[id]
 		h := d.nodes[id]
 		if h == nil {
-			if !here {
-				continue // never joined: not the detector's business
-			}
-			// First sight: the registration itself is the first beat.
-			d.nodes[id] = &nodeHealth{state: HealthHealthy, lastSeq: seq}
-			continue
+			continue // never registered: not the detector's business
 		}
 		switch {
 		case !here:
@@ -292,11 +286,18 @@ func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
 		}
 	}
 	for _, id := range newlyDead {
-		// The detector owns the death from here; DetectFailures must not
-		// double-handle it if the session also expires later.
 		delete(n.alive, id)
-		n.failoverNodeLocked(id)
+		for _, name := range n.failoverNodeLocked(id) {
+			if !slices.Contains(repaired, name) {
+				repaired = append(repaired, name)
+			}
+		}
 	}
+	// A topology repaired off one node and then requeued off another in
+	// the same tick is no longer repaired in place.
+	repaired = slices.DeleteFunc(repaired, func(name string) bool {
+		return n.state.Assignment(name) == nil
+	})
 	for _, id := range recovered {
 		_ = n.state.RestoreNode(id)
 		n.alive[id] = true
@@ -305,7 +306,7 @@ func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
 		n.journalRecord(trace.CodeNodeRejoin, "", string(id),
 			fmt.Sprintf("beats=%d", d.cfg.FlapDamping))
 	}
-	return newlyDead
+	return newlyDead, repaired
 }
 
 // untrustedAvailability is the failover planner's availability picture:
@@ -325,11 +326,12 @@ func (n *Nimbus) untrustedAvailability() map[cluster.NodeID]resource.Vector {
 // failoverNodeLocked repairs every topology with tasks on a dead node:
 // one incremental failover round per topology, re-placing only the dead
 // node's tasks (live workers frozen in place) on detector-trusted
-// capacity. A topology whose restarts cannot all be placed falls back to
-// the legacy repair — assignment torn down, topology requeued for a full
-// scheduling round once capacity returns. Caller holds n.mu.
-func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) {
-	d := n.detector
+// capacity. A topology whose restarts cannot all be placed, or whose
+// scheduler has no incremental pass, is torn down instead and requeued
+// for a full scheduling round. It returns the topologies repaired in
+// place. Caller holds n.mu.
+func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) (repaired []string) {
+	d := &n.detector
 	affected := n.state.ReleaseNode(id)
 	n.logf("failure detector declared %s dead; %d topologies affected", id, len(affected))
 	ras, isRAS := n.scheduler.(*core.ResourceAwareScheduler)
@@ -364,8 +366,8 @@ func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) {
 				fmt.Sprintf("tick=%d requeued", d.ticks))
 		}
 		if !isRAS {
-			// Resource-blind schedulers have no incremental pass: legacy
-			// teardown repair.
+			// Resource-blind schedulers have no incremental pass: teardown
+			// repair.
 			requeue()
 			continue
 		}
@@ -395,6 +397,7 @@ func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) {
 			continue
 		}
 		n.persistAssignment(name, next)
+		repaired = append(repaired, name)
 		d.events = append(d.events, FailoverEvent{
 			Node: string(id), Topology: name, Moves: len(moves), Tick: d.ticks,
 		})
@@ -406,6 +409,7 @@ func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) {
 	// including the share that sat on the dead node. Release again so the
 	// node reads zero to future scheduling rounds until it recovers.
 	n.state.ReleaseNode(id)
+	return repaired
 }
 
 // errUnplaceableRestart marks a failover plan that left a restart on the

@@ -193,13 +193,15 @@ func TestHeartbeatLossFailover(t *testing.T) {
 			t.Fatalf("stored assignment leaves task %d on dead node", task.ID)
 		}
 	}
-	// Legacy DetectFailures sees nothing left to do: the detector already
-	// owned the death.
-	if lost := n.DetectFailures(); len(lost) != 0 {
-		t.Fatalf("DetectFailures double-handled: %v", lost)
+	// The next master cycle has nothing left to do: the death is not
+	// handled twice and the repaired assignment stays.
+	repaired := n.Assignment("wordcount")
+	beatExcept(t, sups, victim)
+	if got := n.Tick(); len(got) != 0 {
+		t.Fatalf("second Tick handled the death again: %v", got)
 	}
-	if got := n.Assignment("wordcount"); got == nil {
-		t.Fatal("DetectFailures tore down the repaired assignment")
+	if got := n.Assignment("wordcount"); got != repaired {
+		t.Fatal("second Tick replaced the repaired assignment")
 	}
 }
 
@@ -410,15 +412,6 @@ func TestFaultsRouteServesDetectorStatus(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	srv := NewStatisticServer(n)
-
-	// Disabled detector: the route 404s, like /adaptive when unattached.
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/faults", nil))
-	if rec.Code != 404 {
-		t.Fatalf("/faults with detector off = %d, want 404", rec.Code)
-	}
-
-	n.EnableFailureDetector(DetectorConfig{})
 	sups := startAll(t, n, c)
 	topo := testTopo(t, "wordcount", 4)
 	if err := n.SubmitTopology(topo); err != nil {
@@ -432,7 +425,7 @@ func TestFaultsRouteServesDetectorStatus(t *testing.T) {
 	}
 	n.HeartbeatTick()
 
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/faults", nil))
 	if rec.Code != 200 {
 		t.Fatalf("/faults = %d, want 200", rec.Code)
@@ -441,7 +434,7 @@ func TestFaultsRouteServesDetectorStatus(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &status); err != nil {
 		t.Fatalf("decode /faults: %v", err)
 	}
-	if !status.Enabled || status.SuspectAfter != 2 || status.DeadAfter != 4 || status.FlapDamping != 3 {
+	if status.SuspectAfter != 2 || status.DeadAfter != 4 || status.FlapDamping != 3 {
 		t.Fatalf("status = %+v, want defaults reported", status)
 	}
 	if len(status.Events) != 1 || status.Events[0].Node != string(victim) {
@@ -455,6 +448,88 @@ func TestFaultsRouteServesDetectorStatus(t *testing.T) {
 	}
 	if !deadReported {
 		t.Fatalf("victim not reported dead: %+v", status.Nodes)
+	}
+}
+
+// TestDetectorTracksFromRegistration: a supervisor that dies before the
+// first HeartbeatTick is still declared dead and failed over, because the
+// detector tracks every node from the moment its supervisor registers.
+// This is the detector-only loop of a control plane that heartbeats and
+// ticks but never calls Tick.
+func TestDetectorTracksFromRegistration(t *testing.T) {
+	c := testCluster(t)
+	n, err := New(c, core.NewResourceAwareScheduler())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	n.EnableFailureDetector(DetectorConfig{})
+	sups := startAll(t, n, c)
+	topo := testTopo(t, "wordcount", 4)
+	if err := n.SubmitTopology(topo); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	n.RunSchedulingRound()
+	victim := victimNode(t, n, "wordcount")
+	if err := sups[victim].Fail(); err != nil {
+		t.Fatalf("Fail: %v", err)
+	}
+	for i := 0; i < 6; i++ {
+		beatExcept(t, sups, victim)
+		n.HeartbeatTick()
+	}
+	for _, task := range topo.Tasks() {
+		if n.Assignment("wordcount").Placements[task.ID].Node == victim {
+			t.Fatalf("task %d still on dead node %s", task.ID, victim)
+		}
+	}
+	if events := n.Failovers(); len(events) != 1 || events[0].Node != string(victim) {
+		t.Fatalf("failovers = %v, want one off %s", events, victim)
+	}
+	if avail := n.State().AvailableAll()[victim]; avail != (resource.Vector{}) {
+		t.Fatalf("dead node still offers capacity %+v", avail)
+	}
+}
+
+// TestTeardownFailoverForResourceBlindScheduler: a scheduler without an
+// incremental pass repairs by teardown. Tick requeues the topology and
+// its scheduling round places it again in the same cycle, off the victim.
+func TestTeardownFailoverForResourceBlindScheduler(t *testing.T) {
+	c := testCluster(t)
+	n, err := New(c, core.EvenScheduler{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sups := startAll(t, n, c)
+	topo := testTopo(t, "wordcount", 4)
+	if err := n.SubmitTopology(topo); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if got := n.Tick(); len(got) != 1 {
+		t.Fatalf("initial Tick = %v", got)
+	}
+	victim := victimNode(t, n, "wordcount")
+	if err := sups[victim].Fail(); err != nil {
+		t.Fatalf("Fail: %v", err)
+	}
+	beatExcept(t, sups, victim)
+	if got := n.Tick(); len(got) != 1 || got[0] != "wordcount" {
+		t.Fatalf("Tick after failure = %v, want [wordcount]", got)
+	}
+	events := n.Failovers()
+	if len(events) != 1 || !events[0].Requeued || events[0].Node != string(victim) {
+		t.Fatalf("failovers = %v, want one teardown off %s", events, victim)
+	}
+	if got := n.Pending(); len(got) != 0 {
+		t.Fatalf("pending = %v, want rescheduled in the same cycle", got)
+	}
+	a := n.Assignment("wordcount")
+	if a == nil || !a.Complete(topo) {
+		t.Fatal("assignment missing or incomplete after teardown repair")
+	}
+	for _, task := range topo.Tasks() {
+		if a.Placements[task.ID].Node == victim {
+			t.Fatalf("task %d rescheduled onto dead node %s", task.ID, victim)
+		}
 	}
 }
 
@@ -506,6 +581,43 @@ func TestDetectorConcurrentAccess(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestStartSupervisorRacesHeartbeatTick: supervisors join while the
+// detector ticks. A tick must never see a registration without its
+// presence node (or the reverse) and declare a joining node dead.
+func TestStartSupervisorRacesHeartbeatTick(t *testing.T) {
+	c := testCluster(t)
+	n, err := New(c, core.NewResourceAwareScheduler())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	// Only session expiry may kill a node within this test's ticks.
+	n.EnableFailureDetector(DetectorConfig{DeadAfter: 1 << 20})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if dead := n.HeartbeatTick(); len(dead) != 0 {
+				t.Errorf("joining nodes declared dead: %v", dead)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	startAll(t, n, c)
+	close(done)
+	wg.Wait()
+	for _, ns := range n.DetectorStatus().Nodes {
+		if ns.State == "dead" {
+			t.Errorf("node %s is dead after a clean join", ns.Node)
+		}
+	}
 }
 
 // BenchmarkFailoverRound measures one detector tick that declares a node

@@ -2,7 +2,8 @@
 // membership through the state store (the Zookeeper analogue), accepts
 // topology submissions, periodically invokes the configured scheduler
 // (§5: "The Storm scheduler is invoked by Nimbus periodically"), and
-// reschedules topologies when supervisors fail.
+// fails topologies over when its heartbeat detector declares a
+// supervisor dead.
 package nimbus
 
 import (
@@ -60,9 +61,8 @@ type Nimbus struct {
 	rounds     int
 	evictions  []EvictionEvent
 
-	// detector is the heartbeat failure detector (detector.go); nil until
-	// EnableFailureDetector.
-	detector *detector
+	// detector is the heartbeat failure detector (detector.go).
+	detector detector
 
 	// journal is the shared decision journal (nil until SetJournal). The
 	// master has no virtual clock, so its events carry At 0 — the
@@ -96,6 +96,10 @@ func New(c *cluster.Cluster, sched core.Scheduler) (*Nimbus, error) {
 		alive:      make(map[cluster.NodeID]bool),
 		priorities: make(map[string]int),
 		seqs:       make(map[string]int),
+		detector: detector{
+			cfg:   DetectorConfig{}.withDefaults(),
+			nodes: make(map[cluster.NodeID]*nodeHealth),
+		},
 	}, nil
 }
 
@@ -363,45 +367,12 @@ func (n *Nimbus) RunSchedulingRound() []string {
 	return res.ScheduledOrder
 }
 
-// Tick is one periodic master cycle: detect membership changes, then run a
-// scheduling round.
+// Tick is one periodic master cycle: a heartbeat tick, then a scheduling
+// round. It returns the topologies the tick failed over in place, then
+// the topologies the round scheduled.
 func (n *Nimbus) Tick() []string {
-	n.DetectFailures()
-	return n.RunSchedulingRound()
-}
-
-// DetectFailures reconciles the alive set against the store's supervisor
-// membership. Topologies with tasks on vanished nodes are torn down and
-// requeued for a full reschedule.
-func (n *Nimbus) DetectFailures() []cluster.NodeID {
-	registered := make(map[cluster.NodeID]bool)
-	for _, id := range n.AliveSupervisors() {
-		registered[id] = true
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var lost []cluster.NodeID
-	for id := range n.alive {
-		if !registered[id] {
-			lost = append(lost, id)
-		}
-	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	for _, id := range lost {
-		delete(n.alive, id)
-		affected := n.state.ReleaseNode(id)
-		n.logf("supervisor %s lost; %d topologies affected", id, len(affected))
-		for _, name := range affected {
-			n.state.Remove(name)
-			_ = n.store.Delete(assignmentsPath + "/" + name)
-			if _, known := n.topologies[name]; known {
-				n.dropPendingLocked(name)
-				n.pending = append(n.pending, name)
-				n.logf("requeued topology %q after failure of %s", name, id)
-			}
-		}
-	}
-	return lost
+	_, repaired := n.heartbeatTick()
+	return append(repaired, n.RunSchedulingRound()...)
 }
 
 // Events returns the master's action log.
@@ -413,33 +384,30 @@ func (n *Nimbus) Events() []string {
 	return out
 }
 
-// registerSupervisor is called by Supervisor on join.
-func (n *Nimbus) registerSupervisor(id cluster.NodeID) error {
-	if n.cluster.Node(id) == nil {
-		return fmt.Errorf("unknown node %q", id)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// registerSupervisorLocked admits a known node's supervisor on join.
+// Caller holds n.mu.
+func (n *Nimbus) registerSupervisorLocked(id cluster.NodeID) error {
 	if n.alive[id] {
 		return fmt.Errorf("supervisor %q already registered", id)
 	}
-	if d := n.detector; d != nil {
-		if h := d.nodes[id]; h != nil && (h.state == HealthDead || h.state == HealthRecovering) {
-			// Flap-damping hold-down: a node the detector saw die rejoins
-			// without capacity. lastSeq -1 makes the registration payload's
-			// seq 0 count as the first fresh beat; HeartbeatTick restores
-			// capacity once FlapDamping beats accumulate.
-			h.state = HealthRecovering
-			h.lastSeq = -1
-			h.healthy = 0
-			n.alive[id] = true
-			n.logf("supervisor %s rejoined; held down for flap damping", id)
-			return nil
-		}
+	if h := n.detector.nodes[id]; h != nil && (h.state == HealthDead || h.state == HealthRecovering) {
+		// Flap-damping hold-down: a node the detector saw die rejoins
+		// without capacity. lastSeq -1 makes the registration payload's
+		// seq 0 count as the first fresh beat; HeartbeatTick restores
+		// capacity once FlapDamping beats accumulate.
+		h.state = HealthRecovering
+		h.lastSeq = -1
+		h.healthy = 0
+		n.alive[id] = true
+		n.logf("supervisor %s rejoined; held down for flap damping", id)
+		return nil
 	}
 	if err := n.state.RestoreNode(id); err != nil {
 		return err
 	}
+	// The detector tracks the node from registration: lastSeq -1 makes
+	// the registration payload's seq 0 its first fresh beat.
+	n.detector.nodes[id] = &nodeHealth{state: HealthHealthy, lastSeq: -1}
 	n.alive[id] = true
 	n.logf("supervisor %s joined", id)
 	return nil

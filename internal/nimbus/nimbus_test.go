@@ -172,26 +172,33 @@ func TestFailureTriggersReschedule(t *testing.T) {
 		t.Fatalf("Tick scheduled %v", got)
 	}
 	before := n.Assignment("resilient")
-	victim := before.NodesUsed()[0]
-
-	if err := sups[victim].Fail(); err != nil {
-		t.Fatalf("Fail: %v", err)
+	used := before.NodesUsed()
+	if len(used) < 2 {
+		t.Fatalf("topology uses %v, want at least two nodes", used)
 	}
-	lost := n.DetectFailures()
-	if len(lost) != 1 || lost[0] != victim {
-		t.Fatalf("lost = %v, want [%s]", lost, victim)
+	// Two hosts fail between master cycles: both are repaired in the same
+	// tick, and the topology is reported once.
+	victims := used[:2]
+	for _, victim := range victims {
+		if err := sups[victim].Fail(); err != nil {
+			t.Fatalf("Fail: %v", err)
+		}
 	}
-	// Topology requeued and rescheduled off the dead node.
-	if got := n.Pending(); len(got) != 1 || got[0] != "resilient" {
+	if got := n.Tick(); len(got) != 1 || got[0] != "resilient" {
+		t.Fatalf("Tick after failure = %v, want [resilient]", got)
+	}
+	if got := n.Pending(); len(got) != 0 {
 		t.Fatalf("Pending after failure = %v", got)
 	}
-	if got := n.RunSchedulingRound(); len(got) != 1 {
-		t.Fatalf("reschedule round = %v", got)
-	}
 	after := n.Assignment("resilient")
-	for id, p := range after.Placements {
-		if p.Node == victim {
-			t.Errorf("task %d still on failed node %s", id, victim)
+	for _, victim := range victims {
+		if got := nodeState(t, n, victim).State; got != "dead" {
+			t.Fatalf("victim %s state = %s, want dead", victim, got)
+		}
+		for id, p := range after.Placements {
+			if p.Node == victim {
+				t.Errorf("task %d still on failed node %s", id, victim)
+			}
 		}
 	}
 }

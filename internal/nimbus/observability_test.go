@@ -43,7 +43,7 @@ func TestStatServerRouteErrorPaths(t *testing.T) {
 		{"/events", http.StatusOK, ""},
 		{"/evictions", http.StatusOK, ""},
 		{"/adaptive", http.StatusNotFound, "adaptive controller not attached"},
-		{"/faults", http.StatusNotFound, "failure detector not enabled"},
+		{"/faults", http.StatusOK, ""},
 		{"/metrics", http.StatusOK, ""},
 		{"/journal", http.StatusNotFound, "journal not attached"},
 		{"/latency", http.StatusNotFound, "latency source not attached"},

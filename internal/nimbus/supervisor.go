@@ -30,14 +30,14 @@ type Supervisor struct {
 	failed  bool
 }
 
-// StartSupervisor registers a supervisor for a cluster node.
+// StartSupervisor registers a supervisor for a cluster node. Registration
+// and the presence node appear together under the Nimbus lock, so a
+// concurrent HeartbeatTick never sees one without the other.
 func (n *Nimbus) StartSupervisor(id cluster.NodeID) (*Supervisor, error) {
-	if err := n.registerSupervisor(id); err != nil {
-		return nil, err
-	}
 	node := n.cluster.Node(id)
-	session := n.store.NewSession()
-	sv := &Supervisor{id: id, nimbus: n, session: session}
+	if node == nil {
+		return nil, fmt.Errorf("unknown node %q", id)
+	}
 	payload, err := json.Marshal(HeartbeatPayload{
 		Node:     string(id),
 		CPU:      node.Spec.Capacity.CPU,
@@ -47,10 +47,16 @@ func (n *Nimbus) StartSupervisor(id cluster.NodeID) (*Supervisor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encode heartbeat: %w", err)
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err := n.registerSupervisorLocked(id); err != nil {
+		return nil, err
+	}
+	session := n.store.NewSession()
 	if err := n.store.Create(supervisorsPath+"/"+string(id), payload, session); err != nil {
 		return nil, fmt.Errorf("register presence: %w", err)
 	}
-	return sv, nil
+	return &Supervisor{id: id, nimbus: n, session: session}, nil
 }
 
 // ID returns the supervisor's node ID.
@@ -77,7 +83,8 @@ func (sv *Supervisor) Heartbeat() error {
 }
 
 // Fail simulates the machine dying: the session expires and the ephemeral
-// presence node disappears. Nimbus notices at its next DetectFailures.
+// presence node disappears. Nimbus's failure detector declares the node
+// dead at its next HeartbeatTick.
 func (sv *Supervisor) Fail() error {
 	if sv.failed {
 		return fmt.Errorf("supervisor %s already failed", sv.id)

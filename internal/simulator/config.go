@@ -28,8 +28,6 @@ package simulator
 import (
 	"fmt"
 	"time"
-
-	"rstorm/internal/trace"
 )
 
 // Config controls a simulation run.
@@ -43,12 +41,6 @@ type Config struct {
 	MetricsWindow time.Duration
 	// QueueCapacity bounds each task's input queue (tuples). Default 128.
 	QueueCapacity int
-	// NICQueueCapacity bounds each node's egress queue (tuples).
-	// Default 512.
-	NICQueueCapacity int
-	// NICWindow caps transfers awaiting remote acceptance per NIC,
-	// approximating TCP windowing. Default 64.
-	NICWindow int
 	// MaxSpoutPending is the per-spout-task cap on incomplete tuple
 	// trees (Storm's topology.max.spout.pending). Default 64.
 	MaxSpoutPending int
@@ -69,16 +61,11 @@ type Config struct {
 	// Replay enables at-least-once delivery (Storm's acking contract,
 	// DESIGN.md §7): a tuple tree failed by a crash or queue drain
 	// re-emits its root from the spout — on the credit it already holds —
-	// after an exponential backoff, up to ReplayMaxRetries times, instead
-	// of being dropped for good. Off by default: with replay unset, runs
-	// are byte-identical to the drop-on-failure simulator.
+	// after an exponential backoff (replayBackoff << attempt), up to
+	// replayMaxRetries times, instead of being dropped for good. Off by
+	// default: with replay unset, runs are byte-identical to the
+	// drop-on-failure simulator.
 	Replay bool
-	// ReplayMaxRetries bounds re-emissions per tuple tree (attempts beyond
-	// the original emission). Default 3 when Replay is on.
-	ReplayMaxRetries int
-	// ReplayBackoff is the delay before a failed tree's first replay;
-	// attempt n waits ReplayBackoff << n. Default 50ms when Replay is on.
-	ReplayBackoff time.Duration
 	// MemoryModel enables the runtime memory model (DESIGN.md §4): each
 	// task's resident memory — queue-resident tuple bytes plus its
 	// (possibly growing) working set per ExecProfile — is accounted
@@ -101,12 +88,9 @@ type Config struct {
 	// queue-wait/service/network span. Sampling is a deterministic
 	// counter, not the RNG, so traced runs stay byte-identical to
 	// untraced ones everywhere outside the tracer itself. Zero (the
-	// default) disables tracing.
+	// default) disables tracing. The tracer keeps the newest
+	// trace.DefaultMaxSpans spans.
 	TraceSampleEvery int
-	// TraceMaxSpans bounds the tracer's span ring; the oldest spans are
-	// overwritten when it fills. Default trace.DefaultMaxSpans when
-	// tracing is enabled.
-	TraceMaxSpans int
 	// Shards selects the execution kernel (DESIGN.md §11). Zero (the
 	// default) runs the legacy single-threaded kernel, byte-identical to
 	// the pre-sharding simulator. Any value >= 1 runs the sharded
@@ -121,6 +105,22 @@ type Config struct {
 	// assume a single globally-ordered event loop.
 	Shards int
 }
+
+// Fixed model parameters.
+const (
+	// nicQueueCapacity bounds each node's egress queue (tuples); a rack
+	// uplink's queue is four times longer.
+	nicQueueCapacity = 512
+	// nicWindow caps transfers awaiting remote acceptance per NIC,
+	// approximating TCP windowing; four times wider on a rack uplink.
+	nicWindow = 64
+	// replayMaxRetries bounds re-emissions per tuple tree (attempts
+	// beyond the original emission) when Replay is on.
+	replayMaxRetries = 3
+	// replayBackoff is the delay before a failed tree's first replay;
+	// attempt n waits replayBackoff << n.
+	replayBackoff = 50 * time.Millisecond
+)
 
 // NoWarmup is the WarmupWindows sentinel for "drop nothing": the mean
 // includes the first window. (0 keeps the default of 1 warm-up window, so
@@ -138,12 +138,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueCapacity == 0 {
 		c.QueueCapacity = 128
 	}
-	if c.NICQueueCapacity == 0 {
-		c.NICQueueCapacity = 512
-	}
-	if c.NICWindow == 0 {
-		c.NICWindow = 64
-	}
 	if c.MaxSpoutPending == 0 {
 		c.MaxSpoutPending = 64
 	}
@@ -154,17 +148,6 @@ func (c Config) withDefaults() Config {
 		c.WarmupWindows = 1
 	} else if c.WarmupWindows < 0 {
 		c.WarmupWindows = 0 // NoWarmup sentinel: 0 warm-up windows
-	}
-	if c.Replay {
-		if c.ReplayMaxRetries == 0 {
-			c.ReplayMaxRetries = 3
-		}
-		if c.ReplayBackoff == 0 {
-			c.ReplayBackoff = 50 * time.Millisecond
-		}
-	}
-	if c.TraceSampleEvery > 0 && c.TraceMaxSpans == 0 {
-		c.TraceMaxSpans = trace.DefaultMaxSpans
 	}
 	return c
 }
@@ -183,12 +166,6 @@ func (c Config) validate() error {
 	if c.QueueCapacity < 1 {
 		return fmt.Errorf("queue capacity %d, want >= 1", c.QueueCapacity)
 	}
-	if c.NICQueueCapacity < 1 {
-		return fmt.Errorf("NIC queue capacity %d, want >= 1", c.NICQueueCapacity)
-	}
-	if c.NICWindow < 1 {
-		return fmt.Errorf("NIC window %d, want >= 1", c.NICWindow)
-	}
 	if c.MaxSpoutPending < 1 {
 		return fmt.Errorf("max spout pending %d, want >= 1", c.MaxSpoutPending)
 	}
@@ -197,19 +174,8 @@ func (c Config) validate() error {
 	if c.TupleTimeout < 0 {
 		return fmt.Errorf("tuple timeout %v, want >= 0", c.TupleTimeout)
 	}
-	if c.Replay {
-		if c.ReplayMaxRetries < 1 {
-			return fmt.Errorf("replay max retries %d, want >= 1", c.ReplayMaxRetries)
-		}
-		if c.ReplayBackoff <= 0 {
-			return fmt.Errorf("replay backoff %v, want > 0", c.ReplayBackoff)
-		}
-	}
 	if c.TraceSampleEvery < 0 {
 		return fmt.Errorf("trace sample every %d, want >= 0", c.TraceSampleEvery)
-	}
-	if c.TraceMaxSpans < 0 {
-		return fmt.Errorf("trace max spans %d, want >= 0", c.TraceMaxSpans)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("shards %d, want >= 0", c.Shards)

@@ -269,19 +269,19 @@ func New(c *cluster.Cluster, cfg Config) (*Simulation, error) {
 		uplinks: make(map[cluster.RackID]*link, len(c.Racks())),
 	}
 	if cfg.TraceSampleEvery > 0 {
-		s.tracer = trace.NewTracer(cfg.TraceSampleEvery, cfg.TraceMaxSpans)
+		s.tracer = trace.NewTracer(cfg.TraceSampleEvery, trace.DefaultMaxSpans)
 	}
 	for _, n := range c.Nodes() {
 		sn := &simNode{id: n.ID, rack: n.Rack, spec: n.Spec, slowdown: 1, slowFactor: 1}
 		sn.nic = newLink(func() bool { return !sn.dead },
-			n.Spec.NICMbps, cfg.NICQueueCapacity, cfg.NICWindow)
+			n.Spec.NICMbps, nicQueueCapacity, nicWindow)
 		s.nodes[n.ID] = sn
 	}
 	// One uplink per rack to the aggregation switch (Fig. 4). All
 	// inter-rack traffic leaving a rack shares it.
 	for _, rack := range c.Racks() {
 		s.uplinks[rack] = newLink(func() bool { return true },
-			c.Network().InterRackMbps, cfg.NICQueueCapacity*4, cfg.NICWindow*4)
+			c.Network().InterRackMbps, nicQueueCapacity*4, nicWindow*4)
 	}
 
 	// Lane partition. The sharded kernel slices the cluster one lane per
@@ -1034,14 +1034,14 @@ func (ln *simLane) completeTree(tr *tree) {
 	s := ln.sim
 	sp := tr.spout
 	if tr.failed && s.cfg.Replay && sp != nil {
-		if !sp.dead && tr.attempt < s.cfg.ReplayMaxRetries {
+		if !sp.dead && tr.attempt < replayMaxRetries {
 			key, attempt := tr.key, tr.attempt
 			ln.freeTree(tr)
 			ev := ln.newEvent(evSpoutReplay)
 			ev.task = sp
 			ev.key = key
 			ev.attempt = attempt + 1
-			ln.eng.ScheduleEvent(s.cfg.ReplayBackoff<<uint(attempt), ev)
+			ln.eng.ScheduleEvent(replayBackoff<<uint(attempt), ev)
 			return
 		}
 		ln.lostTrees++
