@@ -7,12 +7,27 @@
 // Event. The engine stores no closures, so a caller that needs a one-off
 // callback defines a small type with a Fire method.
 //
-// The queue is a hand-rolled 4-ary min-heap of event values stored inline
-// in a single slice — no per-event boxing, no interface round-trips through
-// container/heap, and no pointer chasing during sift operations. Popped
-// slots are recycled in place (the slice keeps its capacity), so once the
-// heap has grown to the simulation's peak event population, scheduling is
-// allocation-free: the backing array is the free list.
+// Pending events live in two stores. An event scheduled for the current
+// instant (a zero delay, or a time in the past clamped to now) is appended
+// to a FIFO; every later event goes into a hand-rolled 4-ary min-heap of
+// event values stored inline in a single slice — no per-event boxing, no
+// interface round-trips through container/heap, and no pointer chasing
+// during sift operations. About half of a loaded simulation's events are
+// same-instant hand-offs, and the FIFO spares each of them a full sift up
+// and down.
+//
+// The merge preserves the single-heap (at, seq) order by construction.
+// Every FIFO entry has at == now, and seq only grows, so the FIFO is sorted
+// by (at, seq) in append order. The heap top has at >= now. Each Step fires
+// whichever of the FIFO head and the heap top is smaller by (at, seq), so a
+// heap event at the current instant with a smaller seq still fires first.
+// The clock only moves past now once the FIFO is empty, so the invariant
+// at == now holds for every entry the FIFO keeps.
+//
+// Both stores recycle their slots in place (the slices keep their
+// capacity), so once they have grown to the simulation's peak event
+// population, scheduling is allocation-free: the backing arrays are the
+// free list.
 package des
 
 import (
@@ -30,9 +45,10 @@ type Event interface {
 // safe for concurrent use: a simulation runs single-threaded, which is what
 // makes it deterministic.
 type Engine struct {
-	now   time.Duration
-	seq   uint64
-	queue eventQueue
+	now     time.Duration
+	seq     uint64
+	queue   eventQueue   // events scheduled for a later instant
+	instant instantQueue // events at now, in seq order
 }
 
 // NewEngine returns an Engine with the clock at zero.
@@ -44,7 +60,7 @@ func NewEngine() *Engine {
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue.events) }
+func (e *Engine) Pending() int { return len(e.queue.events) + e.instant.len() }
 
 // ScheduleEvent queues a typed event after delay. Negative delays are
 // clamped to zero. The Engine holds only the interface value; callers own
@@ -67,7 +83,26 @@ func (e *Engine) ScheduleEventAt(at time.Duration, ev Event) {
 		at = e.now
 	}
 	e.seq++
+	if at == e.now {
+		e.instant.push(event{at: at, seq: e.seq, ev: ev})
+		return
+	}
 	e.queue.push(event{at: at, seq: e.seq, ev: ev})
+}
+
+// pop removes and returns the earliest pending event by (at, seq), and
+// whether one was pending. On a timestamp tie between the FIFO head and the
+// heap top, the smaller seq wins, exactly as within the heap.
+//
+//rstorm:hotpath
+func (e *Engine) pop() (event, bool) {
+	if e.instant.len() > 0 && (len(e.queue.events) == 0 || !e.queue.events[0].before(e.instant.peek())) {
+		return e.instant.pop(), true
+	}
+	if len(e.queue.events) == 0 {
+		return event{}, false
+	}
+	return e.queue.pop(), true
 }
 
 // Step runs the earliest pending event, advancing the clock to its
@@ -75,10 +110,10 @@ func (e *Engine) ScheduleEventAt(at time.Duration, ev Event) {
 //
 //rstorm:hotpath
 func (e *Engine) Step() bool {
-	if len(e.queue.events) == 0 {
+	ev, ok := e.pop()
+	if !ok {
 		return false
 	}
-	ev := e.queue.pop()
 	e.now = ev.at
 	ev.ev.Fire()
 	return true
@@ -89,7 +124,7 @@ func (e *Engine) Step() bool {
 // they fall within the horizon. It returns the number of events processed.
 func (e *Engine) RunUntil(until time.Duration) int {
 	processed := 0
-	for len(e.queue.events) > 0 && e.queue.events[0].at <= until {
+	for at, ok := e.PeekTime(); ok && at <= until; at, ok = e.PeekTime() {
 		e.Step()
 		processed++
 	}
@@ -113,12 +148,19 @@ func (e *Engine) Drain() int {
 // firing it, and whether any event is pending. A conservative parallel
 // loop uses it to pick the next safe window without disturbing the queue.
 //
+// RunUntil and AdvanceTo read both stores through it. A non-empty FIFO
+// holds the earliest timestamp: its entries are at now, and the heap holds
+// nothing before now.
+//
 //rstorm:hotpath
 func (e *Engine) PeekTime() (time.Duration, bool) {
-	if len(e.queue.events) == 0 {
-		return 0, false
+	if e.instant.len() > 0 {
+		return e.instant.peek().at, true
 	}
-	return e.queue.events[0].at, true
+	if len(e.queue.events) > 0 {
+		return e.queue.events[0].at, true
+	}
+	return 0, false
 }
 
 // AdvanceTo processes events with timestamps strictly before horizon, then
@@ -132,7 +174,7 @@ func (e *Engine) PeekTime() (time.Duration, bool) {
 // processes nothing and leaves the clock unchanged.
 func (e *Engine) AdvanceTo(horizon time.Duration) int {
 	processed := 0
-	for len(e.queue.events) > 0 && e.queue.events[0].at < horizon {
+	for at, ok := e.PeekTime(); ok && at < horizon; at, ok = e.PeekTime() {
 		e.Step()
 		processed++
 	}
@@ -154,12 +196,14 @@ type PendingEvent struct {
 // placements change; rescheduling the returned events in slice order onto
 // any Engine preserves their relative firing order.
 func (e *Engine) TakePending() []PendingEvent {
-	out := make([]PendingEvent, 0, len(e.queue.events))
-	for len(e.queue.events) > 0 {
-		ev := e.queue.pop()
+	out := make([]PendingEvent, 0, e.Pending())
+	for {
+		ev, ok := e.pop()
+		if !ok {
+			return out
+		}
 		out = append(out, PendingEvent{At: ev.at, Ev: ev.ev})
 	}
-	return out
 }
 
 // event is one scheduled event, stored by value: 32 bytes on 64-bit
@@ -184,7 +228,10 @@ func (a *event) before(b *event) bool {
 
 // eventQueue is a 4-ary min-heap of event values ordered by (at, seq).
 // 4-ary beats binary here: sift-down depth halves, and the four children
-// sit in two adjacent cache lines.
+// sit in two adjacent cache lines. It holds only events scheduled for a
+// time later than the clock at scheduling; events for the current instant
+// go to the Engine's instantQueue, and Engine.pop merges the two by
+// (at, seq) — see the package doc for why the merge keeps heap order.
 type eventQueue struct {
 	events []event
 }
@@ -251,4 +298,46 @@ func (q *eventQueue) siftDown(i int) {
 		i = best
 	}
 	es[i] = ev
+}
+
+// instantQueue is the FIFO of events scheduled for the current instant.
+// Entries arrive with strictly increasing seq and equal at, so append order
+// is (at, seq) order. events[head:] are pending; popped slots are zeroed so
+// no Event reference is retained, and the slice is reset to [:0] whenever
+// it drains, keeping its capacity.
+type instantQueue struct {
+	events []event
+	head   int
+}
+
+//rstorm:hotpath
+func (q *instantQueue) len() int { return len(q.events) - q.head }
+
+//rstorm:hotpath
+func (q *instantQueue) peek() *event { return &q.events[q.head] }
+
+//rstorm:hotpath
+func (q *instantQueue) push(ev event) {
+	if len(q.events) == cap(q.events) && q.head > 0 {
+		// A cascade that never lets the FIFO drain would otherwise grow the
+		// slice past its live population: slide the live tail down over the
+		// popped prefix instead of reallocating.
+		n := copy(q.events, q.events[q.head:])
+		clear(q.events[n:])
+		q.events = q.events[:n]
+		q.head = 0
+	}
+	q.events = append(q.events, ev)
+}
+
+//rstorm:hotpath
+func (q *instantQueue) pop() event {
+	ev := q.events[q.head]
+	q.events[q.head] = event{} // release the ev reference
+	q.head++
+	if q.head == len(q.events) {
+		q.events = q.events[:0]
+		q.head = 0
+	}
+	return ev
 }

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -376,5 +377,220 @@ func TestQuickRunUntilProcessesExactlyHorizonEvents(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// orderLog schedules orderEvents and keeps, for every event, the (at, seq)
+// key the engine should order it by: at clamped to the clock, seq the
+// scheduling index. Sorting that list gives the reference firing order.
+type orderLog struct {
+	e     *Engine
+	keys  []orderKey // indexed by id
+	fired []int
+}
+
+// orderKey is one event's expected ordering key; its id is its seq.
+type orderKey struct {
+	at time.Duration
+	id int
+}
+
+// orderEvent records its id when it fires, then runs an optional follow-up
+// that may schedule more events.
+type orderEvent struct {
+	l    *orderLog
+	id   int
+	then func()
+}
+
+func (o *orderEvent) Fire() {
+	o.l.fired = append(o.l.fired, o.id)
+	if o.then != nil {
+		o.then()
+	}
+}
+
+func (l *orderLog) at(at time.Duration, then func()) {
+	key := at
+	if key < l.e.Now() {
+		key = l.e.Now()
+	}
+	id := len(l.keys)
+	l.keys = append(l.keys, orderKey{at: key, id: id})
+	l.e.ScheduleEventAt(at, &orderEvent{l: l, id: id, then: then})
+}
+
+// want returns the ids of every event scheduled so far, sorted by (at, seq).
+func (l *orderLog) want() []int {
+	keys := append([]orderKey(nil), l.keys...)
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].at != keys[j].at {
+			return keys[i].at < keys[j].at
+		}
+		return keys[i].id < keys[j].id
+	})
+	ids := make([]int, len(keys))
+	for i, k := range keys {
+		ids[i] = k.id
+	}
+	return ids
+}
+
+// newMergeScenario builds an engine stopped inside one instant (1s) with
+// both stores non-empty: three heap events at 1s scheduled before the clock
+// got there, so they carry the smallest seqs, and two FIFO events (one
+// zero-delay, one clamped from the past). The first Step fires a heap event
+// whose Fire cascades a zero-delay successor, a past-time successor and a
+// delayed one.
+func newMergeScenario(t *testing.T) *orderLog {
+	t.Helper()
+	l := &orderLog{e: NewEngine()}
+	l.at(time.Second, func() { // id 0: the cascade
+		now := l.e.Now()
+		l.at(now, func() { // zero-delay, cascades once more
+			l.at(l.e.Now(), nil)
+		})
+		l.at(now-time.Millisecond, nil)     // in the past: clamped to now
+		l.at(now+500*time.Millisecond, nil) // delayed: heap
+	})
+	l.at(time.Second, nil)
+	l.at(time.Second, nil)
+	l.at(2*time.Second, nil)
+	if n := l.e.AdvanceTo(time.Second); n != 0 {
+		t.Fatalf("AdvanceTo(1s) processed %d events, want 0", n)
+	}
+	l.at(time.Second, nil) // zero delay: FIFO
+	l.at(0, nil)           // past: clamped to 1s, FIFO
+	if !l.e.Step() {
+		t.Fatal("Step found nothing pending")
+	}
+	if got := l.fired; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("first Step fired %v, want [0]", got)
+	}
+	return l
+}
+
+// TestInstantFIFOMergesWithHeapInSeqOrder checks the two-store merge
+// against a reference list sorted by (at, seq): same-instant heap events
+// with smaller seqs must fire before FIFO events, and the read-only entry
+// points must see both stores.
+func TestInstantFIFOMergesWithHeapInSeqOrder(t *testing.T) {
+	l := newMergeScenario(t)
+	// Heap: ids 1, 2 (1s), 8 (1.5s), 3 (2s). FIFO: ids 4, 5, 6, 7; id 6
+	// will cascade id 9.
+	if got, want := l.e.Pending(), len(l.keys)-len(l.fired); got != want {
+		t.Fatalf("Pending = %d, want %d", got, want)
+	}
+	if at, ok := l.e.PeekTime(); !ok || at != time.Second {
+		t.Fatalf("PeekTime = %v, %v; want 1s, true", at, ok)
+	}
+	if n := l.e.AdvanceTo(time.Second); n != 0 {
+		t.Fatalf("AdvanceTo(now) processed %d events, want 0", n)
+	}
+	// Everything at 1s fires, including the cascade's second hop; the
+	// delayed event at 1.5s stays pending.
+	n := l.e.AdvanceTo(1500 * time.Millisecond)
+	if n != 7 {
+		t.Fatalf("AdvanceTo(1.5s) processed %d events, want 7", n)
+	}
+	if l.e.Now() != 1500*time.Millisecond || l.e.Pending() != 2 {
+		t.Fatalf("after AdvanceTo: now %v, pending %d; want 1.5s, 2", l.e.Now(), l.e.Pending())
+	}
+	l.e.Drain()
+	want := l.want()
+	if len(l.fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(l.fired), len(want))
+	}
+	for i := range want {
+		if l.fired[i] != want[i] {
+			t.Fatalf("firing order = %v, want (at, seq) order %v", l.fired, want)
+		}
+	}
+}
+
+// TestTakePendingMergesInstantFIFO: TakePending from inside an instant
+// surrenders both stores merged in (at, seq) order.
+func TestTakePendingMergesInstantFIFO(t *testing.T) {
+	l := newMergeScenario(t)
+	taken := l.e.TakePending()
+	if l.e.Pending() != 0 {
+		t.Fatalf("pending = %d after TakePending", l.e.Pending())
+	}
+	if _, ok := l.e.PeekTime(); ok {
+		t.Fatal("PeekTime reports an event after TakePending")
+	}
+	want := l.want()[1:] // id 0 already fired
+	if len(taken) != len(want) {
+		t.Fatalf("took %d events, want %d", len(taken), len(want))
+	}
+	for i, pe := range taken {
+		id := pe.Ev.(*orderEvent).id
+		if id != want[i] || pe.At != l.keys[id].at {
+			t.Fatalf("taken[%d] = id %d at %v, want id %d at %v", i, id, pe.At, want[i], l.keys[want[i]].at)
+		}
+	}
+}
+
+// tickEvent is a steady-state workload for the allocation check: each Fire
+// schedules one zero-delay successor (the FIFO) and re-schedules itself
+// after a delay (the heap).
+type tickEvent struct {
+	e      *Engine
+	period time.Duration
+	hop    *countEvent
+}
+
+func (t *tickEvent) Fire() {
+	t.e.ScheduleEvent(0, t.hop)
+	t.e.ScheduleEvent(t.period, t)
+}
+
+// TestScheduleStepZeroAllocsWithInstantFIFO holds the FIFO's slot reuse to
+// the heap's bar: once warm, scheduling and stepping allocate nothing.
+func TestScheduleStepZeroAllocsWithInstantFIFO(t *testing.T) {
+	e := NewEngine()
+	hop := &countEvent{}
+	for i := 1; i <= 64; i++ {
+		e.ScheduleEvent(time.Duration(i)*time.Microsecond, &tickEvent{e: e, period: time.Duration(i) * time.Microsecond, hop: hop})
+	}
+	for i := 0; i < 10000; i++ { // warm-up: both stores reach capacity
+		e.Step()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			e.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Step/ScheduleEvent allocated %.1f times per 100 steps, want 0", allocs)
+	}
+	if hop.n == 0 {
+		t.Fatal("no zero-delay successor fired")
+	}
+}
+
+// relayEvent re-schedules itself at zero delay forever, so two of them keep
+// the FIFO from ever draining.
+type relayEvent struct{ e *Engine }
+
+func (r *relayEvent) Fire() { r.e.ScheduleEvent(0, r) }
+
+// TestInstantFIFOBoundedUnderEndlessCascade: a cascade that never lets the
+// FIFO drain must reuse the popped prefix rather than grow the slice.
+func TestInstantFIFOBoundedUnderEndlessCascade(t *testing.T) {
+	e := NewEngine()
+	e.ScheduleEvent(0, &relayEvent{e: e})
+	e.ScheduleEvent(0, &relayEvent{e: e})
+	for i := 0; i < 10000; i++ {
+		e.Step()
+	}
+	if c := cap(e.instant.events); c > 8 {
+		t.Fatalf("FIFO capacity grew to %d for 2 live events", c)
+	}
+	if e.Pending() != 2 || e.Now() != 0 {
+		t.Fatalf("pending %d at %v, want 2 at 0", e.Pending(), e.Now())
+	}
+	if at, ok := e.PeekTime(); !ok || at != 0 {
+		t.Fatalf("PeekTime with only FIFO events = %v, %v; want 0, true", at, ok)
 	}
 }
