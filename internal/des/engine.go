@@ -3,31 +3,47 @@
 // equal timestamps fire in scheduling order, so a simulation driven by a
 // seeded RNG is fully reproducible.
 //
-// There is one way to schedule: ScheduleEvent/ScheduleEventAt with a typed
-// Event. The engine stores no closures, so a caller that needs a one-off
-// callback defines a small type with a Fire method.
+// There is one kind of event: a typed Event, scheduled with
+// ScheduleEvent/ScheduleEventAt or through a fixed-delay Channel. The
+// engine stores no closures, so a caller that needs a one-off callback
+// defines a small type with a Fire method.
 //
-// Pending events live in two stores. An event scheduled for the current
-// instant (a zero delay, or a time in the past clamped to now) is appended
-// to a FIFO; every later event goes into a hand-rolled 4-ary min-heap of
-// event values stored inline in a single slice — no per-event boxing, no
-// interface round-trips through container/heap, and no pointer chasing
-// during sift operations. About half of a loaded simulation's events are
-// same-instant hand-offs, and the FIFO spares each of them a full sift up
-// and down.
+// Every pending event carries a key (at, seq): its firing time and a
+// sequence number that grows by one on every schedule call. The engine
+// fires events in strict key order, and keeps them in three stores:
 //
-// The merge preserves the single-heap (at, seq) order by construction.
-// Every FIFO entry has at == now, and seq only grows, so the FIFO is sorted
-// by (at, seq) in append order. The heap top has at >= now. Each Step fires
-// whichever of the FIFO head and the heap top is smaller by (at, seq), so a
-// heap event at the current instant with a smaller seq still fires first.
-// The clock only moves past now once the FIFO is empty, so the invariant
-// at == now holds for every entry the FIFO keeps.
+//   - The instant FIFO holds events scheduled for the current instant (a
+//     zero delay, or a time in the past clamped to now). About half of a
+//     loaded simulation's events are such same-instant hand-offs.
+//   - Channel rings hold events scheduled through a Channel, which fires
+//     each event a fixed delay after it was scheduled. A simulation has a
+//     handful of such delays (a wire latency, a frozen service time, a
+//     link's serialization time) and most of its delayed events use one.
+//   - A hand-rolled 4-ary min-heap of event values, stored inline in a
+//     single slice, holds every other event plus one entry per non-empty
+//     channel: the channel's head, keyed by the head's own (at, seq).
 //
-// Both stores recycle their slots in place (the slices keep their
-// capacity), so once they have grown to the simulation's peak event
-// population, scheduling is allocation-free: the backing arrays are the
-// free list.
+// The rings need no sorting, because each is in key order by
+// construction. A channel appends each entry at now+delay with a fresh
+// seq; the clock never goes backwards and seq only grows, so its ring is
+// sorted by (at, seq) in append order. The heap therefore sees each
+// channel only through its earliest entry, and the global firing order is
+// exactly the order a single heap of every event would give. When a
+// channel head fires, the channel's next entry takes over the heap root in
+// place and sifts down once: one sift instead of a pop and a push, on a
+// heap holding a few entries instead of every in-flight event.
+//
+// The instant FIFO merges with the heap the same way: every FIFO entry has
+// at == now, so its append order is key order, and the heap top has
+// at >= now. Each Step fires whichever of the FIFO head and the heap top
+// is smaller by (at, seq), so a heap event at the current instant with a
+// smaller seq still fires first. The clock only moves past now once the
+// FIFO is empty, so the invariant at == now holds for every entry the FIFO
+// keeps.
+//
+// All stores recycle their slots in place, so once they have grown to the
+// simulation's peak event population, scheduling is allocation-free: the
+// backing arrays are the free list.
 package des
 
 import (
@@ -45,10 +61,11 @@ type Event interface {
 // safe for concurrent use: a simulation runs single-threaded, which is what
 // makes it deterministic.
 type Engine struct {
-	now     time.Duration
-	seq     uint64
-	queue   eventQueue   // events scheduled for a later instant
-	instant instantQueue // events at now, in seq order
+	now      time.Duration
+	seq      uint64
+	queue    eventQueue // later events, plus one head per non-empty channel
+	instant  ring       // events at now, in seq order
+	channels []*Channel // every channel made by NewChannel, for Pending
 }
 
 // NewEngine returns an Engine with the clock at zero.
@@ -59,8 +76,69 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue.events) + e.instant.len() }
+// Pending returns the number of queued events, in all three stores.
+func (e *Engine) Pending() int {
+	n := len(e.queue.events) + e.instant.len()
+	for _, c := range e.channels {
+		if l := c.fifo.len(); l > 0 {
+			n += l - 1 // the head is already counted in the heap
+		}
+	}
+	return n
+}
+
+// Channel schedules events at one fixed delay. Its events are in (at, seq)
+// order by construction (see the package doc), so they wait in a ring and
+// only the earliest sits in the engine's heap. A Channel belongs to the
+// Engine that made it.
+type Channel struct {
+	eng   *Engine
+	delay time.Duration
+	fifo  ring
+}
+
+// NewChannel returns a channel whose events fire delay after they are
+// scheduled. Negative delays are clamped to zero; a zero-delay channel
+// schedules into the instant FIFO.
+func (e *Engine) NewChannel(delay time.Duration) *Channel {
+	if delay < 0 {
+		delay = 0
+	}
+	c := &Channel{eng: e, delay: delay}
+	e.channels = append(e.channels, c)
+	return c
+}
+
+// Delay returns the channel's fixed delay.
+//
+//rstorm:hotpath
+func (c *Channel) Delay() time.Duration { return c.delay }
+
+// Schedule queues ev to fire the channel's delay from now. It fires in
+// exactly the order ScheduleEvent(c.Delay(), ev) would give it.
+//
+//rstorm:hotpath
+func (c *Channel) Schedule(ev Event) {
+	e := c.eng
+	e.seq++
+	entry := event{at: e.now + c.delay, seq: e.seq, ev: ev}
+	if c.delay == 0 {
+		e.instant.push(entry)
+		return
+	}
+	if c.fifo.len() == 0 {
+		e.queue.push(event{at: entry.at, seq: entry.seq, ev: (*channelHead)(c)})
+	}
+	c.fifo.push(entry)
+}
+
+// channelHead marks a channel's entry in the heap. The heap entry carries
+// the head's (at, seq); the head event itself stays in the channel's ring.
+type channelHead Channel
+
+// Fire is never called: eventQueue.pop resolves a channelHead to the
+// channel's head event before returning it.
+func (*channelHead) Fire() { panic("des: channel head fired directly") }
 
 // ScheduleEvent queues a typed event after delay. Negative delays are
 // clamped to zero. The Engine holds only the interface value; callers own
@@ -228,10 +306,11 @@ func (a *event) before(b *event) bool {
 
 // eventQueue is a 4-ary min-heap of event values ordered by (at, seq).
 // 4-ary beats binary here: sift-down depth halves, and the four children
-// sit in two adjacent cache lines. It holds only events scheduled for a
-// time later than the clock at scheduling; events for the current instant
-// go to the Engine's instantQueue, and Engine.pop merges the two by
-// (at, seq) — see the package doc for why the merge keeps heap order.
+// sit in two adjacent cache lines. It holds events scheduled for a time
+// later than the clock at scheduling, and one channelHead entry per
+// non-empty Channel. Events for the current instant go to the Engine's
+// instant FIFO, and Engine.pop merges the two by (at, seq) — see the
+// package doc for why the merge keeps heap order.
 type eventQueue struct {
 	events []event
 }
@@ -246,6 +325,18 @@ func (q *eventQueue) push(ev event) {
 func (q *eventQueue) pop() event {
 	es := q.events
 	top := es[0]
+	if h, ok := top.ev.(*channelHead); ok {
+		c := (*Channel)(h)
+		top = c.fifo.pop()
+		if c.fifo.len() > 0 {
+			// The channel's next entry replaces the head in place: one
+			// sift, where a pop then a push would take two.
+			next := c.fifo.peek()
+			es[0].at, es[0].seq = next.at, next.seq
+			q.siftDown(0)
+			return top
+		}
+	}
 	n := len(es) - 1
 	es[0] = es[n]
 	es[n] = event{} // release the ev reference; capacity is retained
@@ -300,44 +391,47 @@ func (q *eventQueue) siftDown(i int) {
 	es[i] = ev
 }
 
-// instantQueue is the FIFO of events scheduled for the current instant.
-// Entries arrive with strictly increasing seq and equal at, so append order
-// is (at, seq) order. events[head:] are pending; popped slots are zeroed so
-// no Event reference is retained, and the slice is reset to [:0] whenever
-// it drains, keeping its capacity.
-type instantQueue struct {
+// ring is a FIFO of events on a circular buffer whose length is a power of
+// two. It backs both the instant FIFO and every channel, whose entries
+// arrive already in (at, seq) order. events[head] is the oldest of the n
+// queued entries; popped slots are zeroed so no Event reference is
+// retained, and the buffer only grows, so a ring that has reached its
+// peak population never allocates again.
+type ring struct {
 	events []event
 	head   int
+	n      int
 }
 
 //rstorm:hotpath
-func (q *instantQueue) len() int { return len(q.events) - q.head }
+func (r *ring) len() int { return r.n }
 
 //rstorm:hotpath
-func (q *instantQueue) peek() *event { return &q.events[q.head] }
+func (r *ring) peek() *event { return &r.events[r.head] }
 
 //rstorm:hotpath
-func (q *instantQueue) push(ev event) {
-	if len(q.events) == cap(q.events) && q.head > 0 {
-		// A cascade that never lets the FIFO drain would otherwise grow the
-		// slice past its live population: slide the live tail down over the
-		// popped prefix instead of reallocating.
-		n := copy(q.events, q.events[q.head:])
-		clear(q.events[n:])
-		q.events = q.events[:n]
-		q.head = 0
+func (r *ring) push(ev event) {
+	if r.n == len(r.events) {
+		r.grow()
 	}
-	q.events = append(q.events, ev)
+	r.events[(r.head+r.n)&(len(r.events)-1)] = ev
+	r.n++
 }
 
 //rstorm:hotpath
-func (q *instantQueue) pop() event {
-	ev := q.events[q.head]
-	q.events[q.head] = event{} // release the ev reference
-	q.head++
-	if q.head == len(q.events) {
-		q.events = q.events[:0]
-		q.head = 0
-	}
+func (r *ring) pop() event {
+	ev := r.events[r.head]
+	r.events[r.head] = event{} // release the ev reference
+	r.head = (r.head + 1) & (len(r.events) - 1)
+	r.n--
 	return ev
+}
+
+// grow doubles the buffer (starting at 8), relinearizing the queue.
+func (r *ring) grow() {
+	next := make([]event, max(8, 2*len(r.events)))
+	k := copy(next, r.events[r.head:])
+	copy(next[k:], r.events[:r.head])
+	r.events = next
+	r.head = 0
 }

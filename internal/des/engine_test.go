@@ -594,3 +594,239 @@ func TestInstantFIFOBoundedUnderEndlessCascade(t *testing.T) {
 		t.Fatalf("PeekTime with only FIFO events = %v, %v; want 0, true", at, ok)
 	}
 }
+
+// via schedules an orderEvent through ch; its expected key is now plus the
+// channel's delay.
+func (l *orderLog) via(ch *Channel, then func()) {
+	id := len(l.keys)
+	l.keys = append(l.keys, orderKey{at: l.e.Now() + ch.Delay(), id: id})
+	ch.Schedule(&orderEvent{l: l, id: id, then: then})
+}
+
+// checkOrder fails t unless every scheduled event fired, in (at, seq) order.
+func (l *orderLog) checkOrder(t *testing.T) {
+	t.Helper()
+	want := l.want()
+	if len(l.fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(l.fired), len(want))
+	}
+	for i := range want {
+		if l.fired[i] != want[i] {
+			k, w := l.keys[l.fired[i]], l.keys[want[i]]
+			t.Fatalf("firing %d: id %d at %v, want (at, seq) order's id %d at %v", i, k.id, k.at, w.id, w.at)
+		}
+	}
+}
+
+// TestChannelsFireInSeqOrder is the property test for fixed-delay
+// channels: under random interleavings of several channels (one of them
+// zero-delay), plain delayed events, zero-delay events, past-time events
+// clamped to now, and events whose Fire schedules more through a channel,
+// the firing order must equal a reference list sorted by (at, seq). The
+// timestamps sit on a coarse grid, so channel entries constantly tie with
+// heap and FIFO events at the same instant that carry smaller seqs.
+func TestChannelsFireInSeqOrder(t *testing.T) {
+	const ms = time.Millisecond
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		l := &orderLog{e: NewEngine()}
+		chans := []*Channel{
+			l.e.NewChannel(0),
+			l.e.NewChannel(ms),
+			l.e.NewChannel(3 * ms),
+			l.e.NewChannel(3 * ms), // a second channel at an equal delay
+			l.e.NewChannel(7 * ms),
+		}
+		var cascade func()
+		cascade = func() {
+			if rng.Intn(2) == 0 {
+				l.via(chans[rng.Intn(len(chans))], nil)
+			} else {
+				l.at(l.e.Now(), nil)
+			}
+		}
+		for op := 0; op < 600; op++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				var then func()
+				if rng.Intn(4) == 0 {
+					then = cascade
+				}
+				l.via(chans[rng.Intn(len(chans))], then)
+			case r < 6:
+				l.at(l.e.Now()+time.Duration(rng.Intn(8))*ms, nil)
+			case r < 7:
+				l.at(l.e.Now()-ms, nil) // in the past: clamped to now
+			default:
+				l.e.Step()
+			}
+		}
+		l.e.Drain()
+		l.checkOrder(t)
+	}
+}
+
+// newChannelScenario builds an engine stopped inside the instant 1s with
+// all three stores non-empty. The heap holds plain events at 1s (scheduled
+// before the clock got there, so with the smallest seqs), 1.5s and 3s; two
+// channels hold entries scheduled at 0 and at 1s; the FIFO holds what the
+// first event at 1s scheduled at zero delay, directly and through a
+// zero-delay channel.
+func newChannelScenario(t *testing.T) (*orderLog, []*Channel) {
+	t.Helper()
+	l := &orderLog{e: NewEngine()}
+	zero := l.e.NewChannel(0)
+	fast := l.e.NewChannel(500 * time.Millisecond)
+	slow := l.e.NewChannel(time.Second)
+	l.via(slow, nil) // 1s: ties with the heap's first events
+	l.via(fast, nil) // 0.5s
+	l.at(time.Second, func() {
+		l.at(l.e.Now(), nil)
+		l.via(zero, nil)
+		l.via(fast, nil) // 1.5s, ties with a heap event of smaller seq
+		l.via(slow, nil) // 2s
+		l.via(slow, nil) // 2s
+	})
+	l.at(time.Second, nil)
+	l.at(1500*time.Millisecond, nil)
+	l.at(3*time.Second, nil)
+	if n := l.e.AdvanceTo(time.Second); n != 1 {
+		t.Fatalf("AdvanceTo(1s) processed %d events, want 1", n)
+	}
+	// The first event at 1s by (at, seq) is the slow channel's entry; the
+	// second is the cascade.
+	for i := 0; i < 2; i++ {
+		if !l.e.Step() {
+			t.Fatal("Step found nothing pending")
+		}
+	}
+	if got := l.fired; len(got) != 3 || got[0] != 1 || got[1] != 0 || got[2] != 2 {
+		t.Fatalf("fired %v, want [1 0 2]", got)
+	}
+	if l.e.instant.len() == 0 || len(l.e.queue.events) == 0 || fast.fifo.len() == 0 || slow.fifo.len() < 2 {
+		t.Fatal("scenario does not leave all three stores non-empty")
+	}
+	return l, []*Channel{zero, fast, slow}
+}
+
+// TestChannelsReadOnlyEntryPointsAndWindows: Pending, PeekTime and
+// AdvanceTo see channel entries beside the heap and the instant FIFO.
+func TestChannelsReadOnlyEntryPointsAndWindows(t *testing.T) {
+	l, _ := newChannelScenario(t)
+	if got, want := l.e.Pending(), len(l.keys)-len(l.fired); got != want {
+		t.Fatalf("Pending = %d, want %d", got, want)
+	}
+	if at, ok := l.e.PeekTime(); !ok || at != time.Second {
+		t.Fatalf("PeekTime = %v, %v; want 1s, true", at, ok)
+	}
+	// Through 1.5s exclusive: the two FIFO events and the heap's second
+	// event at 1s.
+	if n := l.e.AdvanceTo(1500 * time.Millisecond); n != 3 {
+		t.Fatalf("AdvanceTo(1.5s) processed %d events, want 3", n)
+	}
+	if at, ok := l.e.PeekTime(); !ok || at != 1500*time.Millisecond {
+		t.Fatalf("PeekTime = %v, %v; want 1.5s, true", at, ok)
+	}
+	// Through 2.5s: the heap event and channel entry at 1.5s, and both
+	// channel entries at 2s. Only the heap event at 3s remains.
+	if n := l.e.AdvanceTo(2500 * time.Millisecond); n != 4 {
+		t.Fatalf("AdvanceTo(2.5s) processed %d events, want 4", n)
+	}
+	if l.e.Pending() != 1 || l.e.Now() != 2500*time.Millisecond {
+		t.Fatalf("after AdvanceTo: pending %d at %v; want 1 at 2.5s", l.e.Pending(), l.e.Now())
+	}
+	l.e.Drain()
+	l.checkOrder(t)
+}
+
+// TestTakePendingDrainsChannels: TakePending from inside an instant
+// surrenders the heap, the FIFO and every channel ring merged in (at, seq)
+// order and leaves the channels reusable.
+func TestTakePendingDrainsChannels(t *testing.T) {
+	l, chans := newChannelScenario(t)
+	taken := l.e.TakePending()
+	if l.e.Pending() != 0 {
+		t.Fatalf("pending = %d after TakePending", l.e.Pending())
+	}
+	if _, ok := l.e.PeekTime(); ok {
+		t.Fatal("PeekTime reports an event after TakePending")
+	}
+	want := l.want()[len(l.fired):]
+	if len(taken) != len(want) {
+		t.Fatalf("took %d events, want %d", len(taken), len(want))
+	}
+	for i, pe := range taken {
+		id := pe.Ev.(*orderEvent).id
+		if id != want[i] || pe.At != l.keys[id].at {
+			t.Fatalf("taken[%d] = id %d at %v, want id %d at %v", i, id, pe.At, want[i], l.keys[want[i]].at)
+		}
+	}
+	// Emptied channels schedule again from scratch.
+	l.fired = l.fired[:0]
+	l.keys = l.keys[:0]
+	for _, ch := range chans {
+		l.via(ch, nil)
+	}
+	l.e.Drain()
+	l.checkOrder(t)
+}
+
+func TestNewChannelClampsAndZeroDelayUsesFIFO(t *testing.T) {
+	e := NewEngine()
+	neg := e.NewChannel(-time.Second)
+	if neg.Delay() != 0 {
+		t.Fatalf("Delay = %v, want 0", neg.Delay())
+	}
+	neg.Schedule(&countEvent{})
+	if e.instant.len() != 1 || len(e.queue.events) != 0 {
+		t.Fatalf("zero-delay channel event not in the FIFO: fifo %d, heap %d", e.instant.len(), len(e.queue.events))
+	}
+	ch := e.NewChannel(time.Second)
+	for i := 0; i < 5; i++ {
+		ch.Schedule(&countEvent{})
+	}
+	if len(e.queue.events) != 1 || e.Pending() != 6 {
+		t.Fatalf("heap holds %d entries, pending %d; want 1 channel head, 6", len(e.queue.events), e.Pending())
+	}
+}
+
+// chanTick is the channel workload for the allocation check: each Fire
+// schedules a zero-delay successor and re-schedules itself through its
+// channel, as a bolt's service completion re-arms through its task's
+// channel.
+type chanTick struct {
+	ch  *Channel
+	hop *countEvent
+}
+
+func (c *chanTick) Fire() {
+	c.ch.eng.ScheduleEvent(0, c.hop)
+	c.ch.Schedule(c)
+}
+
+// TestChannelScheduleStepZeroAllocs: once warm, scheduling through
+// channels and stepping allocate nothing.
+func TestChannelScheduleStepZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	hop := &countEvent{}
+	for i := 1; i <= 4; i++ {
+		ch := e.NewChannel(time.Duration(i) * time.Microsecond)
+		for j := 0; j < 16*i; j++ {
+			ch.Schedule(&chanTick{ch: ch, hop: hop})
+		}
+	}
+	for i := 0; i < 10000; i++ { // warm-up: every store reaches capacity
+		e.Step()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			e.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Step/Channel.Schedule allocated %.1f times per 100 steps, want 0", allocs)
+	}
+	if hop.n == 0 {
+		t.Fatal("no zero-delay successor fired")
+	}
+}

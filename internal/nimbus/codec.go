@@ -3,6 +3,8 @@ package nimbus
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"rstorm/internal/cluster"
@@ -34,17 +36,25 @@ func EncodeAssignment(a *core.Assignment) ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// DecodeAssignment parses what EncodeAssignment produced.
+// DecodeAssignment parses what EncodeAssignment produced. A task ID key
+// must be the canonical decimal EncodeAssignment writes: "01" and "+1"
+// would otherwise decode to the same task as "1", with the winner picked
+// by map order. Negative task IDs and slots are rejected. Keys are checked
+// in sorted order, so a malformed input always reports the same error.
 func DecodeAssignment(data []byte) (*core.Assignment, error) {
 	var w wireAssignment
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("decode assignment: %w", err)
 	}
 	a := core.NewAssignment(w.Topology, w.Scheduler)
-	for idStr, p := range w.Placements {
+	for _, idStr := range slices.Sorted(maps.Keys(w.Placements)) {
 		id, err := strconv.Atoi(idStr)
-		if err != nil {
+		if err != nil || id < 0 || strconv.Itoa(id) != idStr {
 			return nil, fmt.Errorf("decode assignment: bad task id %q", idStr)
+		}
+		p := w.Placements[idStr]
+		if p.Slot < 0 {
+			return nil, fmt.Errorf("decode assignment: task %d has negative slot %d", id, p.Slot)
 		}
 		a.Place(id, core.Placement{Node: cluster.NodeID(p.Node), Slot: p.Slot})
 	}

@@ -174,6 +174,12 @@ func cutCross(f string) (before, after string, found bool) {
 	return strings.Cut(f, "×")
 }
 
+// maxSeedRange caps the length of a "lo..hi" seed range. A matrix cell is
+// a whole simulation run, so no sensible spec comes near it, and a range
+// like 1..9223372036854775807 must be an error rather than an attempt to
+// allocate every seed in it.
+const maxSeedRange = 4096
+
 // parseInts parses "1..16" (inclusive range) or "1,2,5".
 func parseInts(val string) ([]int64, error) {
 	if lo, hi, found := strings.Cut(val, ".."); found {
@@ -188,9 +194,14 @@ func parseInts(val string) ([]int64, error) {
 		if b < a {
 			return nil, fmt.Errorf("range %s..%s is descending", lo, hi)
 		}
+		// Both ends are >= 1, so b-a cannot overflow; counting by offset
+		// keeps the loop from wrapping when b is the largest int64.
+		if b-a >= maxSeedRange {
+			return nil, fmt.Errorf("range %s..%s spans more than %d seeds", lo, hi, maxSeedRange)
+		}
 		out := make([]int64, 0, b-a+1)
-		for v := a; v <= b; v++ {
-			out = append(out, v)
+		for i := int64(0); i <= b-a; i++ {
+			out = append(out, a+i)
 		}
 		return out, nil
 	}

@@ -1,6 +1,7 @@
 package orchestra
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,6 +68,9 @@ func TestParseSpecErrors(t *testing.T) {
 		{"fig8a × duration=-3s", "out of range"},
 		{"fig8a × window=0s", "out of range"},
 		{"fig8a fig8b × seeds=1", "not separated by ×"},
+		{"fig8a × seeds=1..9223372036854775807", "more than 4096 seeds"},
+		{"fig8a × seeds=1..100000000000", "more than 4096 seeds"},
+		{"fig8a × seeds=1..4097", "more than 4096 seeds"},
 	}
 	for _, tc := range tests {
 		_, err := ParseSpec(tc.in)
@@ -115,5 +119,25 @@ func TestSpecCellsDefaults(t *testing.T) {
 	}
 	if c.Key() != "failover" {
 		t.Errorf("Key() = %q, want bare ID for unset knobs", c.Key())
+	}
+}
+
+// TestParseSpecSeedRangeEdges: a range of exactly maxSeedRange seeds is
+// accepted, and a range ending at the largest int64 stops there instead
+// of wrapping.
+func TestParseSpecSeedRangeEdges(t *testing.T) {
+	spec, err := ParseSpec("fig8a × seeds=1..4096")
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
+	}
+	if n := len(spec.Seeds); n != maxSeedRange || spec.Seeds[n-1] != maxSeedRange {
+		t.Fatalf("1..4096 gave %d seeds ending at %d", n, spec.Seeds[n-1])
+	}
+	spec, err = ParseSpec("fig8a × seeds=9223372036854775806..9223372036854775807")
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
+	}
+	if want := []int64{math.MaxInt64 - 1, math.MaxInt64}; !reflect.DeepEqual(spec.Seeds, want) {
+		t.Fatalf("seeds = %v, want %v", spec.Seeds, want)
 	}
 }

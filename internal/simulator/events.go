@@ -2,6 +2,9 @@ package simulator
 
 import (
 	"time"
+
+	"rstorm/internal/cluster"
+	"rstorm/internal/des"
 )
 
 // The simulator's hot path schedules small typed event records instead of
@@ -141,62 +144,68 @@ func (ln *simLane) freeEvent(ev *simEvent) {
 }
 
 // scheduleTask schedules a task-only event (spout cycle/fire, bolt try) on
-// this lane. Task events are always scheduled by the task's own lane.
+// ch, a channel of this lane: ln.instant for a wakeup, the task's
+// serviceCh for a service completion. Task events are always scheduled by
+// the task's own lane.
 //
 //rstorm:hotpath
-func (ln *simLane) scheduleTask(delay time.Duration, kind uint8, t *simTask) {
+func (ln *simLane) scheduleTask(ch *des.Channel, kind uint8, t *simTask) {
 	ev := ln.newEvent(kind)
 	ev.task = t
-	ln.eng.ScheduleEvent(delay, ev)
+	ch.Schedule(ev)
 }
 
-// scheduleComplete schedules a completion to fire after delay on the
-// completion's home lane. A cross-lane completion is the back-channel of a
-// tuple hand-off — the "ack" returning a link window slot or advancing the
-// emitter's delivery sequence — so it pays the return network hop: one
-// lookahead on top of delay. Same-lane completions (always, in legacy
-// mode) fire locally with no added latency.
+// scheduleTimer schedules a lane-wide periodic event (window flush, OOM
+// check) after delay.
 //
 //rstorm:hotpath
-func (ln *simLane) scheduleComplete(delay time.Duration, comp completion) {
+func (ln *simLane) scheduleTimer(delay time.Duration, kind uint8) {
+	ln.eng.ScheduleEvent(delay, ln.newEvent(kind))
+}
+
+// scheduleComplete schedules a completion to fire now on the completion's
+// home lane. A cross-lane completion is the back-channel of a tuple
+// hand-off — the "ack" returning a link window slot or advancing the
+// emitter's delivery sequence — so it pays the return network hop: one
+// lookahead. Same-lane completions (always, in legacy mode) fire locally
+// with no added latency.
+//
+//rstorm:hotpath
+func (ln *simLane) scheduleComplete(comp completion) {
 	home := ln.compHome(comp)
 	if home == ln {
 		ev := ln.newEvent(evComplete)
 		ev.comp = comp
-		ln.eng.ScheduleEvent(delay, ev)
+		ln.instant.Schedule(ev)
 		return
 	}
-	if delay < 0 {
-		delay = 0
-	}
 	ln.out[home.idx].Push(laneMsg{
-		at:   ln.eng.Now() + delay + ln.sim.lookahead,
+		at:   ln.eng.Now() + ln.sim.lookahead,
 		kind: msgComplete,
 		comp: comp,
 	})
 }
 
-// scheduleArrive schedules tup's arrival at dest's input queue. delay is
-// the network latency of the hop; when dest lives on another lane the
-// route necessarily crossed racks, so delay is at least the lookahead and
-// the arrival rides the outbox to land beyond the current window.
+// scheduleArrive schedules tup's arrival at dest's input queue after the
+// latency of a hop at path level path; when dest lives on another lane the
+// route necessarily crossed racks, so the latency is at least the
+// lookahead and the arrival rides the outbox to land beyond the current
+// window.
 //
 //rstorm:hotpath
-func (ln *simLane) scheduleArrive(delay time.Duration, dest *simTask, tup *tuple, comp completion) {
+func (ln *simLane) scheduleArrive(path cluster.PathLevel, dest *simTask, tup *tuple, comp completion) {
+	ch := ln.arrive[path]
 	home := dest.node.lane
 	if home == ln {
 		ev := ln.newEvent(evArrive)
 		ev.dest = dest
 		ev.tup = tup
 		ev.comp = comp
-		ln.eng.ScheduleEvent(delay, ev)
+		ch.Schedule(ev)
 		return
 	}
-	if delay < 0 {
-		delay = 0
-	}
 	ln.out[home.idx].Push(laneMsg{
-		at:   ln.eng.Now() + delay,
+		at:   ln.eng.Now() + ch.Delay(),
 		kind: msgArrive,
 		dest: dest,
 		tup:  tup,

@@ -162,7 +162,7 @@ func (ln *simLane) handleSpoutReplay(t *simTask, key uint64, attempt int) {
 	t.replayQ = append(t.replayQ, spoutReplay{key: key, attempt: attempt})
 	if t.parked {
 		t.parked = false
-		ln.scheduleTask(0, evSpoutCycle, t)
+		ln.scheduleTask(ln.instant, evSpoutCycle, t)
 	}
 }
 

@@ -3,6 +3,7 @@ package simulator
 import (
 	"time"
 
+	"rstorm/internal/cluster"
 	"rstorm/internal/des"
 	"rstorm/internal/pardes"
 )
@@ -28,6 +29,14 @@ type simLane struct {
 	idx   int
 	eng   *des.Engine
 	nodes []*simNode // the lane's nodes, in cluster declaration order
+
+	// Fixed-delay channels of eng, one per distinct delay (channel): every
+	// task, link and wire on the lane that uses a delay shares its channel.
+	// instant is the zero-delay one; arrive[p] carries arrivals over a hop
+	// at path level p.
+	chans   []*des.Channel
+	instant *des.Channel
+	arrive  [cluster.PathInterRack + 1]*des.Channel
 
 	// out[i] is the outbox ring toward lane i. Single-producer during a
 	// window (only this lane pushes), single-consumer at the barrier (only
@@ -57,7 +66,24 @@ type simLane struct {
 }
 
 func newLane(s *Simulation, idx int) *simLane {
-	return &simLane{sim: s, idx: idx, eng: des.NewEngine()}
+	ln := &simLane{sim: s, idx: idx, eng: des.NewEngine()}
+	ln.instant = ln.channel(0)
+	return ln
+}
+
+// channel returns the lane's channel at delay d, making it on first use.
+// Callers resolve channels when a delay is frozen (a wire's path latency,
+// a task's service time, a link's serialization time), so the scan runs
+// off the per-event path.
+func (ln *simLane) channel(d time.Duration) *des.Channel {
+	for _, ch := range ln.chans {
+		if ch.Delay() == d {
+			return ch
+		}
+	}
+	ch := ln.eng.NewChannel(d)
+	ln.chans = append(ln.chans, ch)
+	return ch
 }
 
 // Cross-lane message kinds.

@@ -87,7 +87,7 @@ func (ln *simLane) oomCheck() {
 		}
 	}
 	if next := ln.eng.Now() + s.cfg.MetricsWindow; next <= s.cfg.Duration {
-		ln.scheduleTask(s.cfg.MetricsWindow, evOOMCheck, nil)
+		ln.scheduleTimer(s.cfg.MetricsWindow, evOOMCheck)
 	}
 }
 
@@ -123,6 +123,6 @@ func (ln *simLane) oomKill(t *simTask) {
 		ln.dropTuple(tup)
 	}
 	for _, comp := range unblocked {
-		ln.scheduleComplete(0, comp)
+		ln.scheduleComplete(comp)
 	}
 }

@@ -3,15 +3,17 @@ package simulator
 import (
 	"time"
 
+	"rstorm/internal/cluster"
+	"rstorm/internal/des"
 	"rstorm/internal/metrics"
 	"rstorm/internal/pardes"
 )
 
 // transfer is one tuple crossing a link.
 type transfer struct {
-	tup     *tuple
-	dest    *simTask
-	latency time.Duration
+	tup  *tuple
+	dest *simTask
+	path cluster.PathLevel // the hop's path level, which sets its latency
 	// uplink, when non-nil, is the rack uplink the tuple must traverse
 	// after this node's NIC (inter-rack path, Fig. 4).
 	uplink *link
@@ -42,6 +44,16 @@ type link struct {
 	serving  bool
 	inFlight int
 	busy     metrics.BusyTracker
+	// serve caches the lane channel for each tuple size the link has
+	// serialized: a handful of entries, one per component tuple size.
+	serve []linkServe
+}
+
+// linkServe is one serialization channel of a link: tuples of bytes take
+// ch.Delay() to serialize.
+type linkServe struct {
+	bytes int
+	ch    *des.Channel
 }
 
 func newLink(alive func() bool, mbps float64, capacity, window int) *link {
@@ -59,12 +71,12 @@ func newLink(alive func() bool, mbps float64, capacity, window int) *link {
 func (n *link) send(ln *simLane, tr transfer) {
 	if !n.alive() {
 		ln.dropTuple(tr.tup)
-		ln.scheduleComplete(0, tr.accepted)
+		ln.scheduleComplete(tr.accepted)
 		return
 	}
 	if n.queue.Len() < n.capacity {
 		n.queue.Push(tr)
-		ln.scheduleComplete(0, tr.accepted)
+		ln.scheduleComplete(tr.accepted)
 		n.startServe(ln)
 		return
 	}
@@ -84,21 +96,38 @@ func (n *link) startServe(ln *simLane) {
 	if n.waiters.Len() > 0 {
 		w := n.waiters.Pop()
 		n.queue.Push(w)
-		ln.scheduleComplete(0, w.accepted)
+		ln.scheduleComplete(w.accepted)
 	}
 
+	ch := n.serveChannel(ln, tr.tup.bytes)
+	n.busy.AddBusy(ch.Delay())
+	ev := ln.newEvent(evLinkDone)
+	ev.link = n
+	ev.tr = tr
+	ch.Schedule(ev)
+}
+
+// serveChannel returns the lane channel whose delay is the time to
+// serialize bytes onto the link, resolving it on the first tuple of that
+// size.
+//
+//rstorm:hotpath
+func (n *link) serveChannel(ln *simLane, bytes int) *des.Channel {
+	for i := range n.serve {
+		if n.serve[i].bytes == bytes {
+			return n.serve[i].ch
+		}
+	}
 	service := time.Nanosecond
 	if n.rateBps > 0 {
-		service = time.Duration(float64(tr.tup.bytes) / n.rateBps * float64(time.Second))
+		service = time.Duration(float64(bytes) / n.rateBps * float64(time.Second))
 		if service <= 0 {
 			service = time.Nanosecond
 		}
 	}
-	n.busy.AddBusy(service)
-	ev := ln.newEvent(evLinkDone)
-	ev.link = n
-	ev.tr = tr
-	ln.eng.ScheduleEvent(service, ev)
+	ch := ln.channel(service)
+	n.serve = append(n.serve, linkServe{bytes: bytes, ch: ch})
+	return ch
 }
 
 // linkDone runs when the link finishes serializing a transfer: the tuple
@@ -117,11 +146,11 @@ func (ln *simLane) linkDone(n *link, tr transfer) {
 		up.send(ln, transfer{
 			tup:      tr.tup,
 			dest:     tr.dest,
-			latency:  tr.latency,
+			path:     tr.path,
 			accepted: release,
 		})
 	} else {
-		ln.scheduleArrive(tr.latency, tr.dest, tr.tup, release)
+		ln.scheduleArrive(tr.path, tr.dest, tr.tup, release)
 	}
 	n.startServe(ln)
 }
@@ -134,6 +163,6 @@ func (n *link) fail(ln *simLane) {
 	for n.waiters.Len() > 0 {
 		tr := n.waiters.Pop()
 		ln.dropTuple(tr.tup)
-		ln.scheduleComplete(0, tr.accepted)
+		ln.scheduleComplete(tr.accepted)
 	}
 }

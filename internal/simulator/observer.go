@@ -154,7 +154,7 @@ func (s *Simulation) windowFlush() {
 	now := s.now()
 	s.flushWindow(now)
 	if next := now + s.cfg.MetricsWindow; next <= s.cfg.Duration {
-		s.lanes[0].scheduleTask(s.cfg.MetricsWindow, evWindowFlush, nil)
+		s.lanes[0].scheduleTimer(s.cfg.MetricsWindow, evWindowFlush)
 	}
 }
 

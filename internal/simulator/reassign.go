@@ -102,7 +102,7 @@ func (s *Simulation) Reassign(topoName string, a *core.Assignment) (int, error) 
 			oldLane.migrateTuple(tup)
 		}
 		for _, comp := range unblocked {
-			oldLane.scheduleComplete(0, comp)
+			oldLane.scheduleComplete(comp)
 		}
 		// Migration is a restart: the in-memory working set does not
 		// travel with the task, so the memory model's state-growth ramp
@@ -223,7 +223,7 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 			oldLane.migrateTuple(tup)
 		}
 		for _, comp := range unblocked {
-			oldLane.scheduleComplete(0, comp)
+			oldLane.scheduleComplete(comp)
 		}
 		st.handled = 0
 		delta := st.tracker.Busy() - st.creditedBusy
@@ -270,7 +270,7 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 	}
 	for _, st := range restarting {
 		if st.isSpout == 1 {
-			st.node.lane.scheduleTask(0, evSpoutCycle, st)
+			st.node.lane.scheduleTask(st.node.lane.instant, evSpoutCycle, st)
 		}
 	}
 	return len(moving) + len(restarting), nil

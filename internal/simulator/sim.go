@@ -7,6 +7,7 @@ import (
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/des"
 	"rstorm/internal/faults"
 	"rstorm/internal/metrics"
 	"rstorm/internal/pardes"
@@ -61,8 +62,11 @@ type simTask struct {
 	dead      bool
 	tracker   metrics.BusyTracker
 	// service is the stretched per-tuple cost, frozen at Run start once
-	// the node's overcommit factor is known.
-	service time.Duration
+	// the node's overcommit factor is known. serviceCh is the host lane's
+	// channel at that delay, re-resolved at every refreeze; until the
+	// first one it is the lane's zero-delay channel, matching service 0.
+	service   time.Duration
+	serviceCh *des.Channel
 	// procWin / sinkWin are the task's own metric series, lazily allocated
 	// on first record so a task that never processes (or never sinks)
 	// keeps no series. Per-task ownership keeps the hot path free of map
@@ -147,12 +151,12 @@ type simTask struct {
 
 // wire is a precomputed delivery edge to one consumer task: the network
 // path classification is static per task pair, so it is resolved once at
-// topology-add time instead of per tuple.
+// topology-add time instead of per tuple. The hop's latency is the path
+// level's, scheduled through the delivering lane's arrive channel.
 type wire struct {
-	dest    *simTask
-	latency time.Duration
-	net     bool  // path crosses the network (consumes NIC bandwidth)
-	uplink  *link // rack uplink for inter-rack hops, else nil
+	dest   *simTask
+	path   cluster.PathLevel
+	uplink *link // rack uplink for inter-rack hops, else nil
 	// edge is the persistent per-(emitter, consumer) traffic counter this
 	// wire delivers into. Wires are rebuilt on every Reassign; edge
 	// counters are owned by the emitting task and survive rebuilds, so
@@ -324,6 +328,13 @@ func New(c *cluster.Cluster, cfg Config) (*Simulation, error) {
 		}
 		s.uplinks[rack].lane = s.lanes[li]
 	}
+	// Path latencies are fixed for the run, so each lane resolves its
+	// arrival channels once.
+	for _, ln := range s.lanes {
+		for p := cluster.PathIntraProcess; p <= cluster.PathInterRack; p++ {
+			ln.arrive[p] = ln.channel(c.Network().Latency(p))
+		}
+	}
 	return s, nil
 }
 
@@ -391,6 +402,7 @@ func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) (*topoR
 			comp:      comp,
 			node:      node,
 			placement: p,
+			serviceCh: node.lane.instant,
 			queue:     newBoundedQueue(s.cfg.QueueCapacity),
 			isSink:    sinkSet[comp.Name],
 			rngState:  taskSeed(s.cfg.Seed, topo.Name(), task.ID),
@@ -440,10 +452,9 @@ func (s *Simulation) buildRouters(run *topoRun) {
 				sameWorker := target.placement == st.placement
 				path := s.cluster.PathBetween(st.node.id, target.node.id, sameWorker)
 				w := wire{
-					dest:    target,
-					latency: net.Latency(path),
-					net:     path.CrossesNetwork(),
-					edge:    edge,
+					dest: target,
+					path: path,
+					edge: edge,
 				}
 				if path == cluster.PathInterRack && net.InterRackMbps > 0 {
 					w.uplink = s.uplinks[st.node.rack]
@@ -504,7 +515,7 @@ func (s *Simulation) Start() error {
 	for _, run := range s.runs {
 		for _, st := range run.ordered {
 			if st.isSpout == 1 {
-				st.node.lane.scheduleTask(0, evSpoutCycle, st)
+				st.node.lane.scheduleTask(st.node.lane.instant, evSpoutCycle, st)
 			}
 		}
 	}
@@ -518,7 +529,7 @@ func (s *Simulation) Start() error {
 		if s.sharded {
 			s.nextFlush = s.cfg.MetricsWindow
 		} else {
-			s.lanes[0].scheduleTask(s.cfg.MetricsWindow, evWindowFlush, nil)
+			s.lanes[0].scheduleTimer(s.cfg.MetricsWindow, evWindowFlush)
 		}
 	}
 	// OOM enforcement shares the window cadence but not the observer: the
@@ -528,7 +539,7 @@ func (s *Simulation) Start() error {
 	// Each lane enforces its own nodes.
 	if s.cfg.MemoryModel && s.cfg.MetricsWindow <= s.cfg.Duration {
 		for _, ln := range s.lanes {
-			ln.scheduleTask(s.cfg.MetricsWindow, evOOMCheck, nil)
+			ln.scheduleTimer(s.cfg.MetricsWindow, evOOMCheck)
 		}
 	}
 	if s.sharded {
@@ -621,6 +632,7 @@ func (s *Simulation) freezeNode(n *simNode) {
 	}
 	for _, t := range n.tasks {
 		t.service = s.serviceTime(t)
+		t.serviceCh = n.lane.channel(t.service)
 	}
 }
 
@@ -650,7 +662,7 @@ func (ln *simLane) spoutCycle(t *simTask) {
 		t.parked = true
 		return
 	}
-	ln.scheduleTask(t.service, evSpoutFire, t)
+	ln.scheduleTask(t.serviceCh, evSpoutFire, t)
 }
 
 // spoutFire runs when a spout's per-tuple service completes: it emits one
@@ -708,7 +720,7 @@ func (ln *simLane) spoutFire(t *simTask) {
 		if replaying {
 			t.inFlight-- // the held credit has nothing left to wait for
 		}
-		ln.scheduleTask(0, evSpoutCycle, t)
+		ln.scheduleTask(ln.instant, evSpoutCycle, t)
 		return
 	}
 	tr.pending = len(outs)
@@ -731,13 +743,13 @@ func (ln *simLane) boltTry(t *simTask) {
 		return
 	}
 	if unblocked.kind != compNone {
-		ln.scheduleComplete(0, unblocked)
+		ln.scheduleComplete(unblocked)
 	}
 	t.busy = true
 	ev := ln.newEvent(evBoltFire)
 	ev.task = t
 	ev.tup = tup
-	ln.eng.ScheduleEvent(t.service, ev)
+	t.serviceCh.Schedule(ev)
 }
 
 // boltFire runs when a bolt's service completes: it records the processed
@@ -892,7 +904,7 @@ func (ln *simLane) deliver(from *simTask, ob outbound, comp completion) {
 	ob.edge.tuples++
 	from.totSent++
 	// Remote accounting classifies against *live* placements, not the
-	// wire-build-time ob.net: a sender mid-emission across a Reassign
+	// wire-build-time ob.path: a sender mid-emission across a Reassign
 	// still delivers its buffered outbounds on the stale path (documented
 	// in reassign.go), but the inter-node counters must agree with the
 	// flush-time EdgeRate.Remote classification, which sees the same live
@@ -919,18 +931,18 @@ func (ln *simLane) deliver(from *simTask, ob outbound, comp completion) {
 				Task: ob.dest.task.ID, From: from.task.ID, At: ln.eng.Now()})
 		}
 		ln.dropTuple(ob.tup)
-		ln.scheduleComplete(0, comp)
+		ln.scheduleComplete(comp)
 		return
 	}
-	if !ob.net {
-		ln.scheduleArrive(ob.latency, ob.dest, ob.tup, comp)
+	if !ob.path.CrossesNetwork() {
+		ln.scheduleArrive(ob.path, ob.dest, ob.tup, comp)
 		return
 	}
 	from.winBytesOut += int64(ob.tup.bytes)
 	from.node.nic.send(ln, transfer{
 		tup:      ob.tup,
 		dest:     ob.dest,
-		latency:  ob.latency,
+		path:     ob.path,
 		uplink:   ob.uplink,
 		accepted: comp,
 	})
@@ -949,7 +961,7 @@ func (ln *simLane) enqueueAt(dest *simTask, tup *tuple, comp completion) {
 				Task: dest.task.ID, From: int(tup.fromTask), At: ln.eng.Now()})
 		}
 		ln.dropTuple(tup)
-		ln.scheduleComplete(0, comp)
+		ln.scheduleComplete(comp)
 		return
 	}
 	if id := s.traceOf(tup); id != 0 {
@@ -958,8 +970,8 @@ func (ln *simLane) enqueueAt(dest *simTask, tup *tuple, comp completion) {
 		tup.arrivedAt = ln.eng.Now()
 	}
 	if dest.queue.tryEnqueue(tup) {
-		ln.scheduleComplete(0, comp)
-		ln.scheduleTask(0, evBoltTry, dest)
+		ln.scheduleComplete(comp)
+		ln.scheduleTask(ln.instant, evBoltTry, dest)
 		return
 	}
 	dest.winOverflows++
@@ -1053,7 +1065,7 @@ func (ln *simLane) completeTree(tr *tree) {
 	sp.inFlight--
 	if sp.parked && !sp.dead {
 		sp.parked = false
-		ln.scheduleTask(0, evSpoutCycle, sp)
+		ln.scheduleTask(ln.instant, evSpoutCycle, sp)
 	}
 }
 
@@ -1073,7 +1085,7 @@ func (ln *simLane) failNode(id cluster.NodeID) {
 			ln.dropTuple(tup)
 		}
 		for _, comp := range unblocked {
-			ln.scheduleComplete(0, comp)
+			ln.scheduleComplete(comp)
 		}
 	}
 	n.nic.fail(ln)

@@ -71,7 +71,7 @@ func (s *Simulation) SubmitTopology(topo *topology.Topology, a *core.Assignment)
 	s.refreeze(affected)
 	for _, st := range run.ordered {
 		if st.isSpout == 1 {
-			st.node.lane.scheduleTask(0, evSpoutCycle, st)
+			st.node.lane.scheduleTask(st.node.lane.instant, evSpoutCycle, st)
 		}
 	}
 	s.journalRecord(trace.CodeTopologySubmitted, topo.Name(), "", -1, "")
@@ -126,7 +126,7 @@ func (s *Simulation) KillTopology(name string) error {
 			ln.migrateTuple(tup)
 		}
 		for _, comp := range unblocked {
-			ln.scheduleComplete(0, comp)
+			ln.scheduleComplete(comp)
 		}
 		// Credit the busy time accrued on this host so end-of-run
 		// utilization attribution survives a later revival elsewhere.
@@ -202,7 +202,7 @@ func (s *Simulation) revive(run *topoRun, a *core.Assignment) error {
 	}
 	for _, st := range run.ordered {
 		if st.isSpout == 1 {
-			st.node.lane.scheduleTask(0, evSpoutCycle, st)
+			st.node.lane.scheduleTask(st.node.lane.instant, evSpoutCycle, st)
 		}
 	}
 	s.journalRecord(trace.CodeTopologySubmitted, name, "", -1, "revived")
