@@ -1,7 +1,6 @@
 package nimbus
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,8 +13,9 @@ import (
 
 // The heartbeat failure detector is Nimbus's only failure path. It
 // watches heartbeat progress, not just presence: a wedged supervisor holds
-// its session but stops publishing fresh sequence numbers. Each node walks
-// healthy → suspect → dead with configurable patience, and session expiry
+// its session but stops bumping its presence node's data version. Each
+// node walks healthy → suspect → dead with configurable patience, and
+// session expiry
 // (presence gone from the store) is death at the next tick. Repair is
 // incremental: a failover scheduling round re-places only the dead node's
 // tasks via core.IncrementalReschedule's Restart option, leaving every
@@ -96,9 +96,9 @@ func (s HealthState) String() string {
 // nodeHealth is the detector's per-node record.
 type nodeHealth struct {
 	state   HealthState
-	lastSeq int64
-	missed  int // consecutive observations without progress
-	healthy int // consecutive fresh beats while recovering
+	lastSeq int64 // presence node's data version at the last fresh beat
+	missed  int   // consecutive observations without progress
+	healthy int   // consecutive fresh beats while recovering
 }
 
 // detector is the failure detector's state, guarded by the Nimbus mutex.
@@ -129,7 +129,9 @@ type NodeHealthStatus struct {
 	State   string `json:"state"`
 	Missed  int    `json:"missed,omitempty"`
 	Healthy int    `json:"healthy,omitempty"`
-	LastSeq int64  `json:"lastSeq"`
+	// LastSeq is the presence node's data version at the last fresh beat
+	// (its heartbeat count since registration); -1 before the first.
+	LastSeq int64 `json:"lastSeq"`
 }
 
 // DetectorStatus is the snapshot served by the StatisticServer's /faults
@@ -196,7 +198,7 @@ func (n *Nimbus) DetectorStatus() DetectorStatus {
 }
 
 // HeartbeatTick runs one detector cycle: read every supervisor's presence
-// and heartbeat sequence from the state store, advance each node's health
+// node and its data version from the state store, advance each node's health
 // state, fail over the tasks of nodes newly declared dead, and restore
 // capacity to nodes that have finished their flap-damping hold. It
 // returns the nodes declared dead this tick.
@@ -215,21 +217,14 @@ func (n *Nimbus) heartbeatTick() (newlyDead []cluster.NodeID, repaired []string)
 	// records StartSupervisor creates alongside each presence node.
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	present := make(map[cluster.NodeID]int64)
-	if names, err := n.store.Children(supervisorsPath); err == nil {
-		for _, name := range names {
-			var hb HeartbeatPayload
-			if data, err := n.store.Get(supervisorsPath + "/" + name); err == nil &&
-				json.Unmarshal(data, &hb) == nil {
-				present[cluster.NodeID(name)] = hb.Seq
-			}
-		}
-	}
+	// One locked pass over the presence nodes: a node's data version is
+	// its heartbeat count since registration, so nothing is decoded.
+	present, _ := n.store.ChildVersions(supervisorsPath)
 	d := &n.detector
 	d.ticks++
 	var recovered []cluster.NodeID
 	for _, id := range n.cluster.NodeIDs() { // declaration order: deterministic
-		seq, here := present[id]
+		version, here := present[string(id)]
 		h := d.nodes[id]
 		if h == nil {
 			continue // never registered: not the detector's business
@@ -246,8 +241,8 @@ func (n *Nimbus) heartbeatTick() (newlyDead []cluster.NodeID, repaired []string)
 				n.journalRecord(trace.CodeNodeDead, "", string(id), "session-expired")
 			}
 		case h.state == HealthDead || h.state == HealthRecovering:
-			if seq != h.lastSeq {
-				h.lastSeq = seq
+			if version != h.lastSeq {
+				h.lastSeq = version
 				h.state = HealthRecovering
 				h.healthy++
 				if h.healthy >= d.cfg.FlapDamping {
@@ -263,8 +258,8 @@ func (n *Nimbus) heartbeatTick() (newlyDead []cluster.NodeID, repaired []string)
 				h.healthy = 0
 			}
 		default: // healthy or suspect
-			if seq != h.lastSeq {
-				h.lastSeq = seq
+			if version != h.lastSeq {
+				h.lastSeq = version
 				h.missed = 0
 				h.state = HealthHealthy
 			} else {

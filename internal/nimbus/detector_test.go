@@ -665,3 +665,38 @@ func BenchmarkFailoverRound(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHeartbeatTick measures the control plane's steady state on a
+// 400-node cluster: every registered supervisor heartbeats once, then one
+// detector tick observes them all. No node changes health, so the
+// operation is the beats plus the presence scan.
+func BenchmarkHeartbeatTick(b *testing.B) {
+	c, err := cluster.TwoRack(8, 50, cluster.EmulabNodeSpec())
+	if err != nil {
+		b.Fatalf("TwoRack: %v", err)
+	}
+	n, err := New(c, core.NewResourceAwareScheduler())
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	ids := c.NodeIDs()
+	sups := make([]*Supervisor, len(ids))
+	for i, id := range ids {
+		if sups[i], err = n.StartSupervisor(id); err != nil {
+			b.Fatalf("StartSupervisor: %v", err)
+		}
+	}
+	n.HeartbeatTick() // first sight
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sv := range sups {
+			if err := sv.Heartbeat(); err != nil {
+				b.Fatalf("Heartbeat: %v", err)
+			}
+		}
+		if dead := n.HeartbeatTick(); len(dead) != 0 {
+			b.Fatalf("dead = %v", dead)
+		}
+	}
+}

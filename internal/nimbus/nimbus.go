@@ -392,9 +392,10 @@ func (n *Nimbus) registerSupervisorLocked(id cluster.NodeID) error {
 	}
 	if h := n.detector.nodes[id]; h != nil && (h.state == HealthDead || h.state == HealthRecovering) {
 		// Flap-damping hold-down: a node the detector saw die rejoins
-		// without capacity. lastSeq -1 makes the registration payload's
-		// seq 0 count as the first fresh beat; HeartbeatTick restores
-		// capacity once FlapDamping beats accumulate.
+		// without capacity. lastSeq -1 makes the re-created presence
+		// node's data version 0 count as the first fresh beat;
+		// HeartbeatTick restores capacity once FlapDamping beats
+		// accumulate.
 		h.state = HealthRecovering
 		h.lastSeq = -1
 		h.healthy = 0
@@ -406,7 +407,7 @@ func (n *Nimbus) registerSupervisorLocked(id cluster.NodeID) error {
 		return err
 	}
 	// The detector tracks the node from registration: lastSeq -1 makes
-	// the registration payload's seq 0 its first fresh beat.
+	// the presence node's data version 0 its first fresh beat.
 	n.detector.nodes[id] = &nodeHealth{state: HealthHealthy, lastSeq: -1}
 	n.alive[id] = true
 	n.logf("supervisor %s joined", id)

@@ -10,13 +10,13 @@ import (
 
 // HeartbeatPayload is what a supervisor publishes to the state store —
 // R-Storm modifies Storm so machines "send their resource availability to
-// Nimbus" (§5).
+// Nimbus" (§5). Heartbeat progress is not in the payload: it is the
+// presence node's data version, which every re-publish bumps.
 type HeartbeatPayload struct {
 	Node     string  `json:"node"`
 	CPU      float64 `json:"cpu"`
 	MemoryMB float64 `json:"memoryMb"`
 	Slots    int     `json:"slots"`
-	Seq      int64   `json:"seq"`
 }
 
 // Supervisor is a worker node's daemon: it registers an ephemeral presence
@@ -26,7 +26,8 @@ type Supervisor struct {
 	id      cluster.NodeID
 	nimbus  *Nimbus
 	session statestore.SessionID
-	seq     int64
+	path    string // presence node
+	payload []byte // encoded HeartbeatPayload, re-published on every beat
 	failed  bool
 }
 
@@ -53,33 +54,23 @@ func (n *Nimbus) StartSupervisor(id cluster.NodeID) (*Supervisor, error) {
 		return nil, err
 	}
 	session := n.store.NewSession()
-	if err := n.store.Create(supervisorsPath+"/"+string(id), payload, session); err != nil {
+	path := supervisorsPath + "/" + string(id)
+	if err := n.store.Create(path, payload, session); err != nil {
 		return nil, fmt.Errorf("register presence: %w", err)
 	}
-	return &Supervisor{id: id, nimbus: n, session: session}, nil
+	return &Supervisor{id: id, nimbus: n, session: session, path: path, payload: payload}, nil
 }
 
 // ID returns the supervisor's node ID.
 func (sv *Supervisor) ID() cluster.NodeID { return sv.id }
 
-// Heartbeat publishes a fresh sequence number.
+// Heartbeat re-publishes the supervisor's capacity payload; the data
+// version the store bumps on every Set is the beat Nimbus observes.
 func (sv *Supervisor) Heartbeat() error {
 	if sv.failed {
 		return fmt.Errorf("supervisor %s has failed", sv.id)
 	}
-	sv.seq++
-	node := sv.nimbus.cluster.Node(sv.id)
-	payload, err := json.Marshal(HeartbeatPayload{
-		Node:     string(sv.id),
-		CPU:      node.Spec.Capacity.CPU,
-		MemoryMB: node.Spec.Capacity.MemoryMB,
-		Slots:    node.Spec.Slots,
-		Seq:      sv.seq,
-	})
-	if err != nil {
-		return fmt.Errorf("encode heartbeat: %w", err)
-	}
-	return sv.nimbus.store.Set(supervisorsPath+"/"+string(sv.id), payload)
+	return sv.nimbus.store.Set(sv.path, sv.payload)
 }
 
 // Fail simulates the machine dying: the session expires and the ephemeral

@@ -8,7 +8,8 @@ import (
 
 // TestConcurrentSupervisorChurn hammers the store with the access pattern
 // Nimbus produces: many supervisors registering ephemeral nodes,
-// heartbeating, and expiring concurrently, while a reader lists children.
+// heartbeating, and expiring concurrently, while readers list children
+// and their data versions.
 // Run with -race.
 func TestConcurrentSupervisorChurn(t *testing.T) {
 	s := New()
@@ -44,14 +45,31 @@ func TestConcurrentSupervisorChurn(t *testing.T) {
 			}
 		}()
 	}
-	// Concurrent readers.
-	wg.Add(1)
+	// Concurrent readers: the membership listing, and the detector's
+	// version scan racing every Set.
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < workers*rounds; i++ {
 			if _, err := s.Children("/supervisors"); err != nil {
 				t.Errorf("children: %v", err)
 				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < workers*rounds; i++ {
+			versions, err := s.ChildVersions("/supervisors")
+			if err != nil {
+				t.Errorf("child versions: %v", err)
+				return
+			}
+			for name, v := range versions {
+				if v < 0 || v > 3 {
+					t.Errorf("%s at version %d, want 0..3 (3 Sets per session)", name, v)
+					return
+				}
 			}
 		}
 	}()

@@ -3,7 +3,17 @@
 // list of active worker nodes and to detect failure in the membership").
 // It provides a hierarchical key space and ephemeral nodes bound to
 // sessions — the subset of the Zookeeper contract Nimbus needs. There are
-// no watches: Nimbus reads membership by polling Children and Get.
+// no watches: Nimbus reads membership by polling Children and
+// ChildVersions.
+//
+// Every node carries a data version, Zookeeper's Stat.version: Create
+// sets it to 0 and each successful Set adds 1. A node that is deleted and
+// created again starts over at 0. Supervisors heartbeat by re-setting
+// their presence node, so a heartbeat is a version bump and Nimbus can
+// tell progress without reading the data.
+//
+// As in Zookeeper, ephemeral nodes cannot have children: a child would
+// outlive the session that owns its parent.
 package statestore
 
 import (
@@ -30,14 +40,18 @@ var (
 	ErrNoSession = errors.New("session does not exist")
 	// ErrBadPath reports a malformed path.
 	ErrBadPath = errors.New("bad path")
+	// ErrEphemeralParent reports a Create under an ephemeral node
+	// (Zookeeper's NoChildrenForEphemerals).
+	ErrEphemeralParent = errors.New("ephemeral nodes cannot have children")
 )
 
 // SessionID identifies a client session; ephemeral nodes die with it.
 type SessionID uint64
 
 type entry struct {
-	data  []byte
-	owner SessionID // 0 = persistent
+	data    []byte
+	owner   SessionID // 0 = persistent
+	version int64     // data version: 0 at Create, +1 per Set
 }
 
 // Store is the in-memory hierarchical state store. It is safe for
@@ -91,8 +105,9 @@ func (s *Store) ExpireSession(id SessionID) error {
 	return nil
 }
 
-// Create adds a node. The parent must exist. With a non-zero session the
-// node is ephemeral and dies with the session.
+// Create adds a node at data version 0. The parent must exist and must
+// not be ephemeral. With a non-zero session the node is ephemeral and
+// dies with the session.
 func (s *Store) Create(p string, data []byte, session SessionID) error {
 	p, err := normalize(p)
 	if err != nil {
@@ -112,8 +127,12 @@ func (s *Store) Create(p string, data []byte, session SessionID) error {
 		return fmt.Errorf("%w: %s", ErrNodeExists, p)
 	}
 	parent := path.Dir(p)
-	if _, ok := s.nodes[parent]; !ok {
+	pe, ok := s.nodes[parent]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoParent, parent)
+	}
+	if pe.owner != 0 {
+		return fmt.Errorf("%w: %s", ErrEphemeralParent, parent)
 	}
 	s.nodes[p] = &entry{data: append([]byte(nil), data...), owner: session}
 	if session != 0 {
@@ -122,7 +141,7 @@ func (s *Store) Create(p string, data []byte, session SessionID) error {
 	return nil
 }
 
-// Set replaces a node's data.
+// Set replaces a node's data and bumps its data version.
 func (s *Store) Set(p string, data []byte) error {
 	p, err := normalize(p)
 	if err != nil {
@@ -134,7 +153,9 @@ func (s *Store) Set(p string, data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoNode, p)
 	}
-	e.data = append([]byte(nil), data...)
+	// The buffer never escapes the lock (Get copies), so reuse it.
+	e.data = append(e.data[:0], data...)
+	e.version++
 	return nil
 }
 
@@ -177,7 +198,9 @@ func (s *Store) Delete(p string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoNode, p)
 	}
-	if len(s.childrenLocked(p)) > 0 {
+	hasChild := false
+	s.eachChildLocked(p, func(string, *entry) { hasChild = true })
+	if hasChild {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, p)
 	}
 	delete(s.nodes, p)
@@ -192,33 +215,56 @@ func (s *Store) Delete(p string) error {
 // Children returns the names (not full paths) of a node's children,
 // sorted.
 func (s *Store) Children(p string) ([]string, error) {
-	p, err := normalize(p)
+	var out []string
+	err := s.eachChild(p, func(name string, _ *entry) {
+		out = append(out, name)
+	})
 	if err != nil {
 		return nil, err
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// ChildVersions returns every direct child of p, by name, with its data
+// version, read in one locked pass.
+func (s *Store) ChildVersions(p string) (map[string]int64, error) {
+	out := make(map[string]int64)
+	err := s.eachChild(p, func(name string, e *entry) {
+		out[name] = e.version
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// eachChild calls fn, under the lock, for every direct child of p.
+func (s *Store) eachChild(p string, fn func(name string, e *entry)) error {
+	p, err := normalize(p)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.nodes[p]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoNode, p)
+		return fmt.Errorf("%w: %s", ErrNoNode, p)
 	}
-	return s.childrenLocked(p), nil
+	s.eachChildLocked(p, fn)
+	return nil
 }
 
-func (s *Store) childrenLocked(p string) []string {
+func (s *Store) eachChildLocked(p string, fn func(name string, e *entry)) {
 	prefix := p
 	if prefix != "/" {
 		prefix += "/"
 	}
-	var out []string
-	for candidate := range s.nodes {
+	for candidate, e := range s.nodes {
 		if candidate == p || !strings.HasPrefix(candidate, prefix) {
 			continue
 		}
-		rest := candidate[len(prefix):]
-		if !strings.Contains(rest, "/") {
-			out = append(out, rest)
+		if rest := candidate[len(prefix):]; !strings.Contains(rest, "/") {
+			fn(rest, e)
 		}
 	}
-	sort.Strings(out)
-	return out
 }

@@ -50,6 +50,7 @@ func TestErrors(t *testing.T) {
 		{"set missing", func() error { return s.Set("/nope", nil) }, ErrNoNode},
 		{"delete missing", func() error { return s.Delete("/nope") }, ErrNoNode},
 		{"children of missing", func() error { _, err := s.Children("/nope"); return err }, ErrNoNode},
+		{"children bad path", func() error { _, err := s.Children("nope"); return err }, ErrBadPath},
 		{"relative path", func() error { return s.Create("x", nil, 0) }, ErrBadPath},
 		{"empty path", func() error { _, err := s.Get(""); return err }, ErrBadPath},
 		{"create with dead session", func() error { return s.Create("/b", nil, 42) }, ErrNoSession},
@@ -115,18 +116,165 @@ func TestEphemeralNodesDieWithSession(t *testing.T) {
 	if err := s.Create("/sup/worker", []byte("hb"), sess); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Create("/sup/worker/sub", nil, sess); err != nil {
+	if err := s.Create("/sup/worker2", nil, sess); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ExpireSession(sess); err != nil {
 		t.Fatal(err)
 	}
-	if s.Exists("/sup/worker") || s.Exists("/sup/worker/sub") {
+	if s.Exists("/sup/worker") || s.Exists("/sup/worker2") {
 		t.Error("ephemeral nodes survived session expiry")
 	}
 	if !s.Exists("/sup") {
 		t.Error("persistent parent deleted")
 	}
+}
+
+// TestNoChildrenUnderEphemeral: a child of an ephemeral node would
+// outlive its parent's session, leaving an orphan that Exists sees but
+// no Children listing reaches. Create rejects it, whatever the child's
+// own session.
+func TestNoChildrenUnderEphemeral(t *testing.T) {
+	s := New()
+	if err := s.Create("/a", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	sess := s.NewSession()
+	if err := s.Create("/a/eph", nil, sess); err != nil {
+		t.Fatal(err)
+	}
+	for _, owner := range []SessionID{0, sess} {
+		if err := s.Create("/a/eph/child", nil, owner); !errors.Is(err, ErrEphemeralParent) {
+			t.Fatalf("Create under ephemeral (session %d) = %v, want ErrEphemeralParent", owner, err)
+		}
+	}
+	if err := s.ExpireSession(sess); err != nil {
+		t.Fatal(err)
+	}
+	if s.Exists("/a/eph/child") {
+		t.Fatal("child of an expired ephemeral node survived")
+	}
+	// The path is free again for a fresh, persistent subtree.
+	if err := s.Create("/a/eph", nil, 0); err != nil {
+		t.Fatalf("re-Create parent: %v", err)
+	}
+	if err := s.Create("/a/eph/child", nil, 0); err != nil {
+		t.Fatalf("Create under persistent parent: %v", err)
+	}
+	got, err := s.Children("/a/eph")
+	if err != nil || len(got) != 1 || got[0] != "child" {
+		t.Fatalf("Children = %v, %v", got, err)
+	}
+}
+
+// TestDataVersions: Create starts a node at version 0, each successful
+// Set adds 1, a failed Set bumps nothing, and a node re-created after
+// its session expires starts over at 0 — Zookeeper's Stat.version.
+func TestDataVersions(t *testing.T) {
+	s := New()
+	if err := s.Create("/sup", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	versions := func() map[string]int64 {
+		t.Helper()
+		got, err := s.ChildVersions("/sup")
+		if err != nil {
+			t.Fatalf("ChildVersions: %v", err)
+		}
+		return got
+	}
+	sess := s.NewSession()
+	if err := s.Create("/sup/n1", []byte("cap"), sess); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Create("/sup/n2", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := versions(); len(got) != 2 || got["n1"] != 0 || got["n2"] != 0 {
+		t.Fatalf("after Create: %v, want n1=0 n2=0", got)
+	}
+	for k := int64(1); k <= 3; k++ {
+		if err := s.Set("/sup/n1", []byte("cap")); err != nil {
+			t.Fatal(err)
+		}
+		if got := versions()["n1"]; got != k {
+			t.Fatalf("after %d Sets: version %d", k, got)
+		}
+	}
+	if data, _ := s.Get("/sup/n1"); string(data) != "cap" {
+		t.Fatalf("Set with the same payload changed data to %q", data)
+	}
+	// Failed Sets: a missing node and a malformed path bump nothing.
+	if err := s.Set("/sup/missing", nil); !errors.Is(err, ErrNoNode) {
+		t.Fatalf("Set missing = %v", err)
+	}
+	if err := s.Set("sup/n1", nil); !errors.Is(err, ErrBadPath) {
+		t.Fatalf("Set bad path = %v", err)
+	}
+	if got := versions(); len(got) != 2 || got["n1"] != 3 || got["n2"] != 0 {
+		t.Fatalf("after failed Sets: %v, want n1=3 n2=0", got)
+	}
+	// Expiry removes the node; re-Create resets the version.
+	if err := s.ExpireSession(sess); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := versions()["n1"]; ok {
+		t.Fatal("expired node still listed")
+	}
+	if err := s.Create("/sup/n1", []byte("cap"), s.NewSession()); err != nil {
+		t.Fatal(err)
+	}
+	if got := versions()["n1"]; got != 0 {
+		t.Fatalf("after re-Create: version %d, want 0", got)
+	}
+}
+
+// TestChildVersionsScope: only direct children are listed — never p
+// itself, never grandchildren — and a missing or malformed p is an
+// error.
+func TestChildVersionsScope(t *testing.T) {
+	s := New()
+	for _, p := range []string{"/sup", "/sup/n1", "/sup/n1/deep", "/sup/n2", "/supx", "/other"} {
+		if err := s.Create(p, nil, 0); err != nil {
+			t.Fatalf("Create %s: %v", p, err)
+		}
+	}
+	if err := s.Set("/sup/n2", nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.ChildVersions("/sup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got["n1"] != 0 || got["n2"] != 1 {
+		t.Fatalf("ChildVersions(/sup) = %v, want n1=0 n2=1", got)
+	}
+	root, err := s.ChildVersions("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(root) != 3 || !hasKeys(root, "sup", "supx", "other") {
+		t.Fatalf("ChildVersions(/) = %v", root)
+	}
+	leaf, err := s.ChildVersions("/sup/n1/deep")
+	if err != nil || len(leaf) != 0 {
+		t.Fatalf("ChildVersions(leaf) = %v, %v", leaf, err)
+	}
+	if _, err := s.ChildVersions("/nope"); !errors.Is(err, ErrNoNode) {
+		t.Fatalf("ChildVersions(missing) = %v", err)
+	}
+	if _, err := s.ChildVersions("sup"); !errors.Is(err, ErrBadPath) {
+		t.Fatalf("ChildVersions(relative) = %v", err)
+	}
+}
+
+func hasKeys(m map[string]int64, keys ...string) bool {
+	for _, k := range keys {
+		if _, ok := m[k]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func TestDeleteEphemeralBeforeExpiry(t *testing.T) {

@@ -79,6 +79,33 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
+// unescapeHelp reverses escapeHelp: \\ and \n are the only escapes a
+// HELP line may carry.
+func unescapeHelp(s string) (string, error) {
+	if !strings.Contains(s, `\`) {
+		return s, nil
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] != '\\' {
+			b.WriteByte(s[i])
+			continue
+		}
+		i++
+		switch {
+		case i == len(s):
+			return "", fmt.Errorf("dangling escape in HELP %q", s)
+		case s[i] == '\\':
+			b.WriteByte('\\')
+		case s[i] == 'n':
+			b.WriteByte('\n')
+		default:
+			return "", fmt.Errorf("bad escape \\%c in HELP %q", s[i], s)
+		}
+	}
+	return b.String(), nil
+}
+
 func escapeLabel(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, `"`, `\"`)
@@ -126,7 +153,8 @@ func validPromType(typ string) bool {
 }
 
 // ParseExposition parses and validates a text exposition: metric and
-// label name charsets, TYPE values, label-value escaping, float syntax,
+// label name charsets, TYPE values, HELP and label-value escaping (both
+// returned unescaped), float syntax,
 // samples preceded by their family header, histogram families carrying
 // _bucket/_sum/_count with a cumulative le sequence ending at +Inf.
 // It is deliberately strict — it lints our own writer, not arbitrary
@@ -150,6 +178,10 @@ func ParseExposition(r io.Reader) ([]PromFamily, error) {
 			name, help, ok := strings.Cut(rest, " ")
 			if !ok || !validMetricName(name) {
 				return nil, fmt.Errorf("line %d: malformed HELP: %q", lineNo, line)
+			}
+			help, err := unescapeHelp(help)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %w", lineNo, err)
 			}
 			pendingHelpName, pendingHelp = name, help
 			continue
