@@ -15,11 +15,10 @@ import (
 // watches heartbeat progress, not just presence: a wedged supervisor holds
 // its session but stops bumping its presence node's data version. Each
 // node walks healthy → suspect → dead with configurable patience, and
-// session expiry
-// (presence gone from the store) is death at the next tick. Repair is
-// incremental: a failover scheduling round re-places only the dead node's
-// tasks via core.IncrementalReschedule's Restart option, leaving every
-// healthy worker untouched. Recovered nodes are flap-damped — held out of
+// session expiry (presence gone from the store) is death at the next
+// tick. Repair is incremental: a failover scheduling round re-places only
+// the dead node's tasks via core.IncrementalReschedule's Restart option,
+// leaving every healthy worker untouched. Recovered nodes are flap-damped — held out of
 // the availability picture until they prove themselves with a run of
 // fresh heartbeats — so a bouncing machine cannot churn placements on
 // every bounce.
@@ -198,10 +197,10 @@ func (n *Nimbus) DetectorStatus() DetectorStatus {
 }
 
 // HeartbeatTick runs one detector cycle: read every supervisor's presence
-// node and its data version from the state store, advance each node's health
-// state, fail over the tasks of nodes newly declared dead, and restore
-// capacity to nodes that have finished their flap-damping hold. It
-// returns the nodes declared dead this tick.
+// node and its data version from the state store, advance each node's
+// health state, fail over the tasks of nodes newly declared dead, and
+// restore capacity to nodes that have finished their flap-damping hold.
+// It returns the nodes declared dead this tick.
 //
 // Call it on the master's heartbeat cadence; the suspect/dead thresholds
 // are measured in these calls.

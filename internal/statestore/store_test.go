@@ -2,6 +2,7 @@ package statestore
 
 import (
 	"errors"
+	"maps"
 	"testing"
 	"testing/quick"
 )
@@ -190,7 +191,7 @@ func TestDataVersions(t *testing.T) {
 	if err := s.Create("/sup/n2", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := versions(); len(got) != 2 || got["n1"] != 0 || got["n2"] != 0 {
+	if got := versions(); !maps.Equal(got, map[string]int64{"n1": 0, "n2": 0}) {
 		t.Fatalf("after Create: %v, want n1=0 n2=0", got)
 	}
 	for k := int64(1); k <= 3; k++ {
@@ -211,7 +212,7 @@ func TestDataVersions(t *testing.T) {
 	if err := s.Set("sup/n1", nil); !errors.Is(err, ErrBadPath) {
 		t.Fatalf("Set bad path = %v", err)
 	}
-	if got := versions(); len(got) != 2 || got["n1"] != 3 || got["n2"] != 0 {
+	if got := versions(); !maps.Equal(got, map[string]int64{"n1": 3, "n2": 0}) {
 		t.Fatalf("after failed Sets: %v, want n1=3 n2=0", got)
 	}
 	// Expiry removes the node; re-Create resets the version.
@@ -246,14 +247,14 @@ func TestChildVersionsScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got["n1"] != 0 || got["n2"] != 1 {
+	if !maps.Equal(got, map[string]int64{"n1": 0, "n2": 1}) {
 		t.Fatalf("ChildVersions(/sup) = %v, want n1=0 n2=1", got)
 	}
 	root, err := s.ChildVersions("/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(root) != 3 || !hasKeys(root, "sup", "supx", "other") {
+	if !maps.Equal(root, map[string]int64{"sup": 0, "supx": 0, "other": 0}) {
 		t.Fatalf("ChildVersions(/) = %v", root)
 	}
 	leaf, err := s.ChildVersions("/sup/n1/deep")
@@ -266,15 +267,6 @@ func TestChildVersionsScope(t *testing.T) {
 	if _, err := s.ChildVersions("sup"); !errors.Is(err, ErrBadPath) {
 		t.Fatalf("ChildVersions(relative) = %v", err)
 	}
-}
-
-func hasKeys(m map[string]int64, keys ...string) bool {
-	for _, k := range keys {
-		if _, ok := m[k]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 func TestDeleteEphemeralBeforeExpiry(t *testing.T) {

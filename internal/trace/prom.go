@@ -82,9 +82,6 @@ func escapeHelp(s string) string {
 // unescapeHelp reverses escapeHelp: \\ and \n are the only escapes a
 // HELP line may carry.
 func unescapeHelp(s string) (string, error) {
-	if !strings.Contains(s, `\`) {
-		return s, nil
-	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		if s[i] != '\\' {
