@@ -217,7 +217,9 @@ func (n *Nimbus) heartbeatTick() (newlyDead []cluster.NodeID, repaired []string)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	// One locked pass over the presence nodes: a node's data version is
-	// its heartbeat count since registration, so nothing is decoded.
+	// its heartbeat count since registration, so nothing is decoded. New
+	// creates supervisorsPath and nothing deletes it; were it missing,
+	// the nil map would read every node as absent.
 	present, _ := n.store.ChildVersions(supervisorsPath)
 	d := &n.detector
 	d.ticks++

@@ -91,17 +91,17 @@ func TestFormatValueSpecials(t *testing.T) {
 
 func TestParseRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
-		"bad TYPE value":       "# HELP m h\n# TYPE m widget\nm 1\n",
-		"sample before TYPE":   "m 1\n",
-		"foreign sample":       "# HELP m h\n# TYPE m gauge\nother 1\n",
-		"bad metric name":      "# HELP 9m h\n# TYPE 9m gauge\n9m 1\n",
-		"bad value":            "# HELP m h\n# TYPE m gauge\nm pancake\n",
-		"unterminated labels":  "# HELP m h\n# TYPE m gauge\nm{l=\"x\" 1\n",
-		"bad escape":           "# HELP m h\n# TYPE m gauge\nm{l=\"\\x\"} 1\n",
-		"help/type mismatch":   "# HELP m h\n# TYPE other gauge\nother 1\n",
-		"label missing quote":  "# HELP m h\n# TYPE m gauge\nm{l=x} 1\n",
-		"bad help escape":      "# HELP m a\\tb\n# TYPE m gauge\nm 1\n",
-		"dangling help escape": "# HELP m a\\\n# TYPE m gauge\nm 1\n",
+		"bad TYPE value":      "# HELP m h\n# TYPE m widget\nm 1\n",
+		"sample before TYPE":  "m 1\n",
+		"foreign sample":      "# HELP m h\n# TYPE m gauge\nother 1\n",
+		"bad metric name":     "# HELP 9m h\n# TYPE 9m gauge\n9m 1\n",
+		"bad value":           "# HELP m h\n# TYPE m gauge\nm pancake\n",
+		"unterminated labels": "# HELP m h\n# TYPE m gauge\nm{l=\"x\" 1\n",
+		"bad escape":          "# HELP m h\n# TYPE m gauge\nm{l=\"\\x\"} 1\n",
+		"help/type mismatch":  "# HELP m h\n# TYPE other gauge\nother 1\n",
+		"label missing quote": "# HELP m h\n# TYPE m gauge\nm{l=x} 1\n",
+		"bad help escape":     "# HELP m a\\tb\n# TYPE m gauge\nm 1\n",
+		"help ends in escape": "# HELP m a\\\n# TYPE m gauge\nm 1\n",
 	}
 	for name, text := range cases {
 		if _, err := ParseExposition(strings.NewReader(text)); err == nil {
