@@ -263,22 +263,21 @@ func (l *Loop) arbitrate(t time.Duration) ([]RebalanceEvent, error) {
 			// Reassign reports how many tasks actually moved (a plan
 			// may relocate dead tasks, which have nothing to migrate)
 			// and normalizes the assignment to what it applied. A
-			// failover plan instead goes through ReassignRestarting:
-			// crash-dead tasks that received a forced placement (a Move
-			// — its absence means no live node could fit the task, which
-			// then stays dead and re-arms the trigger) are revived there.
+			// failover plan also restarts crash-dead tasks that received
+			// a forced placement (a Move — its absence means no live
+			// node could fit the task, which then stays dead and
+			// re-arms the trigger); every other plan restarts nothing.
+			var restart map[int]bool
 			if cl.trigger == TriggerFailover {
 				crashed := l.ctrl.Profiler().CrashedTasks(cl.name)
-				restart := make(map[int]bool, len(moves))
+				restart = make(map[int]bool, len(moves))
 				for _, m := range moves {
 					if crashed[m.TaskID] {
 						restart[m.TaskID] = true
 					}
 				}
-				migrated, err = l.sim.ReassignRestarting(cl.name, next, restart)
-			} else {
-				migrated, err = l.sim.Reassign(cl.name, next)
 			}
+			migrated, err = l.sim.Reassign(cl.name, next, restart)
 			if err != nil {
 				return nil, fmt.Errorf("applying rebalance of %q: %w", cl.name, err)
 			}

@@ -59,12 +59,12 @@ func AblationTaskOrdering() Experiment {
 				return nil, err
 			}
 			bfs, err := simulate(c, []*topology.Topology{topoBFS},
-				core.NewResourceAwareScheduler(), microCfg(o))
+				core.NewResourceAwareScheduler(), microCfg(o), nil)
 			if err != nil {
 				return nil, fmt.Errorf("ablationA bfs: %w", err)
 			}
 			rnd, err := simulate(c, []*topology.Topology{topoRnd},
-				core.NewResourceAwareScheduler(core.WithTaskOrdering(randomOrdering)), microCfg(o))
+				core.NewResourceAwareScheduler(core.WithTaskOrdering(randomOrdering)), microCfg(o), nil)
 			if err != nil {
 				return nil, fmt.Errorf("ablationA random: %w", err)
 			}
@@ -214,7 +214,7 @@ func AblationWeights() Experiment {
 				w := resource.DefaultWeights()
 				w.Bandwidth *= sc.scale
 				out, err := simulate(c, []*topology.Topology{topo},
-					core.NewResourceAwareScheduler(core.WithWeights(w)), microCfg(o))
+					core.NewResourceAwareScheduler(core.WithWeights(w)), microCfg(o), nil)
 				if err != nil {
 					return nil, fmt.Errorf("ablationC %s: %w", sc.label, err)
 				}

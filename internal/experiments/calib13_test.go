@@ -40,7 +40,7 @@ func TestCalibrationFig13(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := simulate(c, []*topology.Topology{pl, pr}, sched, cfg)
+		out, err := simulate(c, []*topology.Topology{pl, pr}, sched, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func TestCalibrationDebug(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := simulate(c, []*topology.Topology{topo}, sched, cfg)
+			out, err := simulate(c, []*topology.Topology{topo}, sched, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

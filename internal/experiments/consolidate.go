@@ -57,7 +57,7 @@ func runConsolidate(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	static, err := simulate(c, []*topology.Topology{lyingStatic}, core.NewResourceAwareScheduler(), cfg)
+	static, err := simulate(c, []*topology.Topology{lyingStatic}, core.NewResourceAwareScheduler(), cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("consolidate static: %w", err)
 	}
@@ -66,7 +66,7 @@ func runConsolidate(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, loopCfg)
+	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, loopCfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("consolidate adaptive: %w", err)
 	}

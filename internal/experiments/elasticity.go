@@ -7,6 +7,7 @@ import (
 	"rstorm/internal/adaptive"
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/faults"
 	"rstorm/internal/metrics"
 	"rstorm/internal/simulator"
 	"rstorm/internal/topology"
@@ -65,7 +66,7 @@ func runElasticity(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle, err := simulate(c, []*topology.Topology{honest}, core.NewResourceAwareScheduler(), cfg)
+	oracle, err := simulate(c, []*topology.Topology{honest}, core.NewResourceAwareScheduler(), cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("elasticity oracle: %w", err)
 	}
@@ -74,7 +75,7 @@ func runElasticity(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	static, err := simulate(c, []*topology.Topology{lyingStatic}, core.NewResourceAwareScheduler(), cfg)
+	static, err := simulate(c, []*topology.Topology{lyingStatic}, core.NewResourceAwareScheduler(), cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("elasticity static: %w", err)
 	}
@@ -83,7 +84,7 @@ func runElasticity(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, adaptive.LoopConfig{})
+	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, adaptive.LoopConfig{}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("elasticity adaptive: %w", err)
 	}
@@ -149,12 +150,14 @@ func runElasticity(o Options) (*Report, error) {
 }
 
 // simulateAdaptive schedules topo from its (mis-)declarations, then runs it
-// under the adaptive control loop configured by loopCfg.
+// under the adaptive control loop configured by loopCfg, with the fault
+// schedule (nil for none) installed before the loop starts.
 func simulateAdaptive(
 	c *cluster.Cluster,
 	topo *topology.Topology,
 	cfg simulator.Config,
 	loopCfg adaptive.LoopConfig,
+	schedule faults.Schedule,
 ) (*adaptive.LoopResult, error) {
 	sched := core.NewResourceAwareScheduler()
 	state := core.NewGlobalState(c)
@@ -170,6 +173,9 @@ func simulateAdaptive(
 		return nil, err
 	}
 	if err := sim.AddTopology(topo, a); err != nil {
+		return nil, err
+	}
+	if err := schedule.Apply(sim); err != nil {
 		return nil, err
 	}
 	loop := adaptive.NewLoop(sim, c, sched, loopCfg)

@@ -11,6 +11,7 @@ import (
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/faults"
 	"rstorm/internal/metrics"
 	"rstorm/internal/simulator"
 	"rstorm/internal/topology"
@@ -108,12 +109,14 @@ type outcome struct {
 }
 
 // simulate schedules topos in order with the given scheduler (applying
-// each assignment to shared state, as Nimbus would) and runs them together.
+// each assignment to shared state, as Nimbus would) and runs them together
+// under the fault schedule (nil for a fault-free run).
 func simulate(
 	c *cluster.Cluster,
 	topos []*topology.Topology,
 	sched core.Scheduler,
 	cfg simulator.Config,
+	schedule faults.Schedule,
 ) (*outcome, error) {
 	state := core.NewGlobalState(c)
 	sim, err := simulator.New(c, cfg)
@@ -133,6 +136,9 @@ func simulate(
 			return nil, fmt.Errorf("add %q: %w", topo.Name(), err)
 		}
 		assignments[topo.Name()] = a
+	}
+	if err := schedule.Apply(sim); err != nil {
+		return nil, err
 	}
 	result, err := sim.Run()
 	if err != nil {
@@ -157,11 +163,11 @@ func throughputComparison(
 	if err != nil {
 		return nil, err
 	}
-	base, err := simulate(c, []*topology.Topology{topoA}, core.EvenScheduler{}, cfg)
+	base, err := simulate(c, []*topology.Topology{topoA}, core.EvenScheduler{}, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s baseline: %w", id, err)
 	}
-	rstorm, err := simulate(c, []*topology.Topology{topoB}, core.NewResourceAwareScheduler(), cfg)
+	rstorm, err := simulate(c, []*topology.Topology{topoB}, core.NewResourceAwareScheduler(), cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s r-storm: %w", id, err)
 	}

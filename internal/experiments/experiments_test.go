@@ -173,7 +173,7 @@ func TestSimulateHelperSurfacesSchedulingErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = simulate(c, []*topology.Topology{topo},
-		core.NewResourceAwareScheduler(), microCfg(shortOpts()))
+		core.NewResourceAwareScheduler(), microCfg(shortOpts()), nil)
 	if err == nil || !strings.Contains(err.Error(), "insufficient resources") {
 		t.Fatalf("err = %v, want insufficient resources", err)
 	}

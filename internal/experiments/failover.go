@@ -111,7 +111,7 @@ func runFailover(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	static, err := simulateFaulted(c, staticTopo, cfg, schedule)
+	static, err := simulate(c, []*topology.Topology{staticTopo}, core.NewResourceAwareScheduler(), cfg, schedule)
 	if err != nil {
 		return nil, fmt.Errorf("failover static: %w", err)
 	}
@@ -121,7 +121,7 @@ func runFailover(o Options) (*Report, error) {
 		return nil, err
 	}
 	loopCfg := adaptive.LoopConfig{FlapDamping: failoverFlapDamping}
-	adaptiveOut, err := simulateAdaptiveFaulted(c, adaptiveTopo, cfg, loopCfg, schedule)
+	adaptiveOut, err := simulateAdaptive(c, adaptiveTopo, cfg, loopCfg, schedule)
 	if err != nil {
 		return nil, fmt.Errorf("failover adaptive: %w", err)
 	}
@@ -275,73 +275,4 @@ func recoverySeconds(d time.Duration) float64 {
 		return -1
 	}
 	return d.Seconds()
-}
-
-// simulateFaulted is simulate for a single topology with a fault schedule
-// installed before start.
-func simulateFaulted(
-	c *cluster.Cluster,
-	topo *topology.Topology,
-	cfg simulator.Config,
-	schedule faults.Schedule,
-) (*outcome, error) {
-	state := core.NewGlobalState(c)
-	sched := core.NewResourceAwareScheduler()
-	a, err := sched.Schedule(topo, c, state)
-	if err != nil {
-		return nil, fmt.Errorf("scheduling %q: %w", topo.Name(), err)
-	}
-	if err := state.Apply(topo, a); err != nil {
-		return nil, fmt.Errorf("apply %q: %w", topo.Name(), err)
-	}
-	sim, err := simulator.New(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sim.AddTopology(topo, a); err != nil {
-		return nil, err
-	}
-	if err := schedule.Apply(sim); err != nil {
-		return nil, err
-	}
-	result, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &outcome{result: result, assignments: map[string]*core.Assignment{topo.Name(): a}}, nil
-}
-
-// simulateAdaptiveFaulted is simulateAdaptive with a fault schedule
-// installed before the loop starts.
-func simulateAdaptiveFaulted(
-	c *cluster.Cluster,
-	topo *topology.Topology,
-	cfg simulator.Config,
-	loopCfg adaptive.LoopConfig,
-	schedule faults.Schedule,
-) (*adaptive.LoopResult, error) {
-	sched := core.NewResourceAwareScheduler()
-	state := core.NewGlobalState(c)
-	a, err := sched.Schedule(topo, c, state)
-	if err != nil {
-		return nil, fmt.Errorf("scheduling %q: %w", topo.Name(), err)
-	}
-	if err := state.Apply(topo, a); err != nil {
-		return nil, fmt.Errorf("apply %q: %w", topo.Name(), err)
-	}
-	sim, err := simulator.New(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sim.AddTopology(topo, a); err != nil {
-		return nil, err
-	}
-	if err := schedule.Apply(sim); err != nil {
-		return nil, err
-	}
-	loop := adaptive.NewLoop(sim, c, sched, loopCfg)
-	if err := loop.Manage(topo, a); err != nil {
-		return nil, err
-	}
-	return loop.Run()
 }

@@ -233,11 +233,11 @@ func Fig10() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				base, err := simulate(c, []*topology.Topology{topoA}, core.EvenScheduler{}, microCfg(o))
+				base, err := simulate(c, []*topology.Topology{topoA}, core.EvenScheduler{}, microCfg(o), nil)
 				if err != nil {
 					return nil, fmt.Errorf("fig10 %s baseline: %w", b.name, err)
 				}
-				rs, err := simulate(c, []*topology.Topology{topoB}, core.NewResourceAwareScheduler(), microCfg(o))
+				rs, err := simulate(c, []*topology.Topology{topoB}, core.NewResourceAwareScheduler(), microCfg(o), nil)
 				if err != nil {
 					return nil, fmt.Errorf("fig10 %s r-storm: %w", b.name, err)
 				}
@@ -332,11 +332,11 @@ func Fig13() Experiment {
 			if err != nil {
 				return nil, err
 			}
-			base, err := simulate(c, baseTopos, core.EvenScheduler{}, cfg)
+			base, err := simulate(c, baseTopos, core.EvenScheduler{}, cfg, nil)
 			if err != nil {
 				return nil, fmt.Errorf("fig13 baseline: %w", err)
 			}
-			rs, err := simulate(c, rsTopos, core.NewResourceAwareScheduler(), cfg)
+			rs, err := simulate(c, rsTopos, core.NewResourceAwareScheduler(), cfg, nil)
 			if err != nil {
 				return nil, fmt.Errorf("fig13 r-storm: %w", err)
 			}

@@ -73,7 +73,7 @@ func runMemoryStress(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle, err := simulate(c, []*topology.Topology{honest}, core.NewResourceAwareScheduler(), cfg)
+	oracle, err := simulate(c, []*topology.Topology{honest}, core.NewResourceAwareScheduler(), cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("memstress oracle: %w", err)
 	}
@@ -82,7 +82,7 @@ func runMemoryStress(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	static, err := simulate(c, []*topology.Topology{lyingStatic}, core.NewResourceAwareScheduler(), cfg)
+	static, err := simulate(c, []*topology.Topology{lyingStatic}, core.NewResourceAwareScheduler(), cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("memstress static: %w", err)
 	}
@@ -91,7 +91,7 @@ func runMemoryStress(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, loopCfg)
+	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, loopCfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("memstress adaptive: %w", err)
 	}

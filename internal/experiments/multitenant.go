@@ -75,7 +75,7 @@ func runMultiTenant(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle, err := simulate(c, []*topology.Topology{prodAlone}, core.NewResourceAwareScheduler(), cfg)
+	oracle, err := simulate(c, []*topology.Topology{prodAlone}, core.NewResourceAwareScheduler(), cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("multitenant oracle: %w", err)
 	}

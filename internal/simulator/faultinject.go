@@ -10,16 +10,15 @@ import (
 )
 
 // Fault injection (DESIGN.md §7): the simulator consumes the declarative
-// fault model of internal/faults. Crash kills a node permanently-until-
-// recovered (the old FailNodeAt semantics), Recover returns its capacity
-// and refreezes contention — the node's dead executors stay dead until a
-// control plane re-places or restarts them (ReassignRestarting) — and
-// Slow transiently stretches its service times by a factor.
+// fault model of internal/faults. Crash kills a node until it is
+// recovered, Recover returns its capacity and refreezes contention — the
+// node's dead executors stay dead until a control plane re-places or
+// restarts them (Reassign's restart set) — and Slow transiently stretches
+// its service times by a factor.
 //
-// Injection is legal both pre-start (the schedule is installed in Start,
-// exactly as FailNodeAt always was) and mid-run between RunTo epochs,
-// which is what lets an epoch-driven chaos harness script faults against
-// a paused simulation.
+// Injection is legal both pre-start (the schedule is installed in Start)
+// and mid-run between RunTo epochs, which is what lets an epoch-driven
+// chaos harness script faults against a paused simulation.
 
 // FaultRecord is one fault the simulation actually applied, logged in
 // virtual-time order. No-op injections (crashing a dead node, recovering
@@ -46,7 +45,7 @@ type spoutReplay struct {
 }
 
 // InjectFault schedules a fault event. Before Start it joins the pending
-// schedule (identical behavior to the original FailNodeAt path); mid-run
+// schedule, installed when the run starts; mid-run
 // it is scheduled onto the live event queue and must not be in the past.
 // Simulation satisfies faults.Injector, so a parsed faults.Schedule can
 // be applied wholesale via Schedule.Apply(sim).
@@ -131,7 +130,7 @@ func (ln *simLane) applyFault(f faults.Fault) {
 // link's alive closure reads node.dead), any slow-fault degradation
 // clears, and contention refreezes. The node's executors stay dead — a
 // recovered machine has capacity, not state; re-placing work on it is the
-// control plane's job (ReassignRestarting / the failover round).
+// control plane's job (Reassign's restart set / the failover round).
 func (ln *simLane) recoverNode(n *simNode) {
 	if n.dead {
 		n.dead = false

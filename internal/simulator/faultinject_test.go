@@ -249,7 +249,7 @@ func TestReplayOffIsByteIdentical(t *testing.T) {
 	}
 }
 
-func TestReassignRestartingRevivesDeadTasks(t *testing.T) {
+func TestReassignRestartRevivesDeadTasks(t *testing.T) {
 	sim, a, c := startSpread(t, shortCfg())
 	// Crash after the warmup windows so the recovery-time baseline (full
 	// post-warmup pre-crash windows) is measurable.
@@ -279,12 +279,12 @@ func TestReassignRestartingRevivesDeadTasks(t *testing.T) {
 	for id := range restart {
 		bad.Placements[id] = core.Placement{Node: victim, Slot: 0}
 	}
-	if _, err := sim.ReassignRestarting("chain", bad, restart); err == nil {
+	if _, err := sim.Reassign("chain", bad, restart); err == nil {
 		t.Error("restart on dead node accepted")
 	}
-	n, err := sim.ReassignRestarting("chain", next, restart)
+	n, err := sim.Reassign("chain", next, restart)
 	if err != nil {
-		t.Fatalf("ReassignRestarting: %v", err)
+		t.Fatalf("Reassign with restarts: %v", err)
 	}
 	if n != len(restart) {
 		t.Errorf("restarted %d tasks, want %d", n, len(restart))

@@ -225,9 +225,10 @@ func (s *Simulation) mergeLaneFaults() {
 }
 
 // rehomeEvents redistributes every pending event after task placements
-// changed (Reassign, ReassignRestarting, revive): an event homed by its
-// task — bolt wakeups, arrivals, spout cycles — must fire on the lane that
-// now owns the task, or two lanes would mutate it concurrently. Called
+// changed (Reassign, including its restarts and tenant revivals): an event
+// homed by its task — bolt wakeups, arrivals, spout cycles — must fire on
+// the lane that now owns the task, or two lanes would mutate it
+// concurrently. Called
 // only between epochs with the inboxes drained, so the engines hold the
 // complete pending set. Events are collected from every lane first (in
 // lane index order, each lane's in (time, sequence) order), then

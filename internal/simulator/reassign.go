@@ -5,11 +5,15 @@ import (
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/topology"
 )
 
 // Reassign migrates a running topology onto a new assignment between
 // epochs (after a RunTo, before the next). It is the simulator half of an
 // incremental rebalance: only tasks whose placement changed are touched.
+// It is also the one placement-change path: a failover restart passes the
+// crash-dead tasks to revive in restart, and a tenant revival
+// (SubmitTopology on a killed name) restarts every task through it.
 //
 // Migration follows Storm's rebalance semantics, scaled down to the tasks
 // actually moving: a migrating task's queued input tuples fail (their trees
@@ -21,189 +25,61 @@ import (
 // flight toward a moved task are delivered normally (its queue survives the
 // move; only the path metadata was stale for the transition).
 //
-// It returns the number of tasks migrated (zero when the new assignment is
-// identical).
-func (s *Simulation) Reassign(topoName string, a *core.Assignment) (int, error) {
-	if !s.started {
-		return 0, fmt.Errorf("simulation not started")
-	}
-	if s.finished {
-		return 0, fmt.Errorf("simulation already finished")
-	}
-	var run *topoRun
-	for _, r := range s.runs {
-		if r.topo.Name() == topoName {
-			run = r
-			break
-		}
+// Tasks in restart that are currently dead are revived at their
+// assignment's placement (which must be a live node). Like a migration, a
+// restarted executor begins empty (working set re-warms, queue empty), and
+// a restarted spout re-enters its cycle, parking until stale trees from
+// before its death finish draining credits. A nil restart set restarts
+// nothing.
+//
+// It returns the number of tasks migrated or restarted (zero when the new
+// assignment is identical).
+func (s *Simulation) Reassign(topoName string, a *core.Assignment, restart map[int]bool) (int, error) {
+	run, err := s.pausedRun(topoName)
+	if err != nil {
+		return 0, err
 	}
 	if run == nil {
 		return 0, fmt.Errorf("topology %q is not part of this simulation", topoName)
 	}
-	if a.Topology != topoName {
-		return 0, fmt.Errorf("assignment is for %q, topology is %q", a.Topology, topoName)
-	}
-	if !a.Complete(run.topo) {
-		return 0, fmt.Errorf("assignment for %q is incomplete", topoName)
-	}
-
-	// Validate every changed placement before mutating anything. A dead
-	// task's entry is normalized back to its actual placement rather than
-	// rejected: there is no executor left to migrate, and a planner
-	// working from measured availability will legitimately want the
-	// failed node's tasks elsewhere. The assignment is therefore mutated
-	// to record what was really applied, and the returned count is the
-	// number of tasks that actually migrated.
-	var moving, deadStay []*simTask
-	for _, st := range run.ordered {
-		np := a.Placements[st.task.ID]
-		if np == st.placement {
-			continue
-		}
-		if st.dead {
-			deadStay = append(deadStay, st)
-			continue
-		}
-		node, ok := s.nodes[np.Node]
-		if !ok {
-			return 0, fmt.Errorf("task %d reassigned to unknown node %q", st.task.ID, np.Node)
-		}
-		if node.dead {
-			return 0, fmt.Errorf("task %d reassigned to dead node %q", st.task.ID, np.Node)
-		}
-		moving = append(moving, st)
-	}
-	// Validation passed: now (and only now) normalize dead entries and
-	// adopt the assignment.
-	for _, st := range deadStay {
-		a.Placements[st.task.ID] = st.placement
-	}
-	run.assignment = a
-	if len(moving) == 0 {
-		return 0, nil
-	}
-
-	// Flush the partial window accumulated since the last boundary before
-	// anything moves, so the observer's samples attribute the pre-migration
-	// slice to the nodes the work actually ran on. A no-op when the epoch
-	// boundary coincides with a window flush (the adaptive loop's default).
-	s.flushPartialWindow()
-
-	affected := make(map[*simNode]bool, 2*len(moving))
-	for _, st := range moving {
-		old := st.node
-		oldLane := old.lane
-		next := s.nodes[a.Placements[st.task.ID].Node]
-		// Drain the input queue: the worker restarts empty on the new node.
-		// The drain runs on the departing lane — the failed trees and
-		// released producers belong to the placement the tuples ran under.
-		tuples, unblocked := st.queue.drain()
-		for _, tup := range tuples {
-			oldLane.migrateTuple(tup)
-		}
-		for _, comp := range unblocked {
-			oldLane.scheduleComplete(comp)
-		}
-		// Migration is a restart: the in-memory working set does not
-		// travel with the task, so the memory model's state-growth ramp
-		// re-warms from zero on the new node (inert with the model off —
-		// handled feeds nothing else).
-		st.handled = 0
-		// Credit the busy time accrued here to the node it ran on, so
-		// end-of-run utilization is attributed per host.
-		delta := st.tracker.Busy() - st.creditedBusy
-		old.departedWeighted += float64(delta) * st.comp.EffectiveCPUPoints()
-		st.creditedBusy = st.tracker.Busy()
-		removeTask(old, st)
-		next.tasks = append(next.tasks, st)
-		next.everHosted = true
-		st.node = next
-		st.placement = a.Placements[st.task.ID]
-		affected[old] = true
-		affected[next] = true
-	}
-	// Refreeze contention on every node whose task set changed, then
-	// re-resolve the run's delivery edges for the new placements.
-	for _, id := range s.order {
-		if n := s.nodes[id]; affected[n] {
-			s.freezeNode(n)
-		}
-	}
-	s.buildRouters(run)
-	if s.sharded {
-		// Pending events homed by a moved task must follow it to its new
-		// lane before the next window, or two lanes would mutate it.
-		s.rehomeEvents()
-	}
-	return len(moving), nil
+	return s.applyPlacement(run, a, restart)
 }
 
-// ReassignRestarting is Reassign plus executor restarts: tasks in the
-// restart set that are currently dead are revived at their assignment's
-// placement (which must be a live node) — the failover path after a node
-// crash, and the re-spread path after the node returns. Like a revive,
-// a restarted executor begins empty (working set re-warms, queue empty)
-// and a restarted spout re-enters its cycle, parking until stale trees
-// from before the crash finish draining credits. Live tasks and dead
-// tasks outside the restart set follow plain Reassign semantics. Returns
-// the number of tasks migrated or restarted.
-func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, restart map[int]bool) (int, error) {
-	if !s.started {
-		return 0, fmt.Errorf("simulation not started")
+// applyPlacement validates and applies a placement change to run (see
+// Reassign).
+func (s *Simulation) applyPlacement(run *topoRun, a *core.Assignment, restart map[int]bool) (int, error) {
+	if err := checkAssignment(run.topo, a); err != nil {
+		return 0, err
 	}
-	if s.finished {
-		return 0, fmt.Errorf("simulation already finished")
-	}
-	var run *topoRun
-	for _, r := range s.runs {
-		if r.topo.Name() == topoName {
-			run = r
-			break
-		}
-	}
-	if run == nil {
-		return 0, fmt.Errorf("topology %q is not part of this simulation", topoName)
-	}
-	if a.Topology != topoName {
-		return 0, fmt.Errorf("assignment is for %q, topology is %q", a.Topology, topoName)
-	}
-	if !a.Complete(run.topo) {
-		return 0, fmt.Errorf("assignment for %q is incomplete", topoName)
-	}
-
-	// Validate everything before mutating anything (same discipline as
-	// Reassign). Dead tasks outside the restart set normalize back to
-	// their actual placement; restarting tasks must land on live nodes.
+	// Validate every changed placement before mutating anything. A dead
+	// task outside the restart set is normalized back to its actual
+	// placement rather than rejected: there is no executor left to
+	// migrate, and a planner working from measured availability will
+	// legitimately want the failed node's tasks elsewhere. The assignment
+	// is therefore mutated to record what was really applied, and the
+	// returned count is the number of tasks that actually changed.
 	var moving, restarting, deadStay []*simTask
 	for _, st := range run.ordered {
 		np := a.Placements[st.task.ID]
-		if st.dead && restart[st.task.ID] {
-			node, ok := s.nodes[np.Node]
-			if !ok {
-				return 0, fmt.Errorf("task %d restarted on unknown node %q", st.task.ID, np.Node)
-			}
-			if node.dead {
-				return 0, fmt.Errorf("task %d restarted on dead node %q", st.task.ID, np.Node)
-			}
-			restarting = append(restarting, st)
+		revive := st.dead && restart[st.task.ID]
+		if !revive && np == st.placement {
 			continue
 		}
-		if np == st.placement {
-			continue
-		}
-		if st.dead {
+		if !revive && st.dead {
 			deadStay = append(deadStay, st)
 			continue
 		}
-		node, ok := s.nodes[np.Node]
-		if !ok {
-			return 0, fmt.Errorf("task %d reassigned to unknown node %q", st.task.ID, np.Node)
+		if err := s.checkTarget(st.task.ID, np); err != nil {
+			return 0, err
 		}
-		if node.dead {
-			return 0, fmt.Errorf("task %d reassigned to dead node %q", st.task.ID, np.Node)
+		if revive {
+			restarting = append(restarting, st)
+		} else {
+			moving = append(moving, st)
 		}
-		moving = append(moving, st)
 	}
+	// Validation passed: now (and only now) normalize dead entries and
+	// adopt the assignment.
 	for _, st := range deadStay {
 		a.Placements[st.task.ID] = st.placement
 	}
@@ -212,23 +88,20 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 		return 0, nil
 	}
 
+	// Flush the partial window accumulated since the last boundary before
+	// anything moves, so the observer's samples attribute the pre-change
+	// slice to the nodes the work actually ran on. A no-op when the epoch
+	// boundary coincides with a window flush (the adaptive loop's default).
 	s.flushPartialWindow()
-	affected := make(map[*simNode]bool, 2*(len(moving)+len(restarting)))
-	for _, st := range moving {
+
+	// Moves first, then restarts: the order fixes each destination's
+	// hosting order, which OOM-kill tie-breaks follow.
+	changing := append(moving, restarting...)
+	affected := make(map[*simNode]bool, 2*len(changing))
+	for _, st := range changing {
 		old := st.node
-		oldLane := old.lane
 		next := s.nodes[a.Placements[st.task.ID].Node]
-		tuples, unblocked := st.queue.drain()
-		for _, tup := range tuples {
-			oldLane.migrateTuple(tup)
-		}
-		for _, comp := range unblocked {
-			oldLane.scheduleComplete(comp)
-		}
-		st.handled = 0
-		delta := st.tracker.Busy() - st.creditedBusy
-		old.departedWeighted += float64(delta) * st.comp.EffectiveCPUPoints()
-		st.creditedBusy = st.tracker.Busy()
+		s.vacate(st)
 		removeTask(old, st)
 		next.tasks = append(next.tasks, st)
 		next.everHosted = true
@@ -236,36 +109,26 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 		st.placement = a.Placements[st.task.ID]
 		affected[old] = true
 		affected[next] = true
+		if st.dead {
+			// A restarted executor comes back idle. Its outBuf/outIdx
+			// are deliberately untouched: a stale delivery completion
+			// from before the death (still draining toward dead
+			// consumers) finishes its old sequence deterministically,
+			// and every new emission resets the cursor itself.
+			st.dead = false
+			st.busy = false
+			st.parked = false
+		}
 	}
-	for _, st := range restarting {
-		old := st.node
-		next := s.nodes[a.Placements[st.task.ID].Node]
-		// The queue was drained when the node crashed; credit the busy
-		// time the executor accrued on its old (possibly still-dead) host
-		// so end-of-run utilization attribution stays per-host-honest.
-		delta := st.tracker.Busy() - st.creditedBusy
-		old.departedWeighted += float64(delta) * st.comp.EffectiveCPUPoints()
-		st.creditedBusy = st.tracker.Busy()
-		st.handled = 0
-		removeTask(old, st)
-		next.tasks = append(next.tasks, st)
-		next.everHosted = true
-		st.node = next
-		st.placement = a.Placements[st.task.ID]
-		st.dead = false
-		st.busy = false
-		st.parked = false
-		// outBuf/outIdx stay, as in revive: a stale delivery sequence from
-		// before the crash finishes deterministically; new emissions reset
-		// the cursor themselves.
-		affected[old] = true
-		affected[next] = true
-	}
-	// refreeze (not the inline loop) because a restarting task's old node
-	// may still be dead; dead nodes must not refreeze.
+	// Refreeze contention on every live node whose task set changed (a
+	// restarted task's old node may still be dead), then re-resolve the
+	// run's delivery edges for the new placements.
 	s.refreeze(affected)
 	s.buildRouters(run)
 	if s.sharded {
+		// Pending events homed by a moved task (replay backoffs, in-flight
+		// arrivals) must follow it to its new lane before the next window,
+		// or two lanes would mutate it.
 		s.rehomeEvents()
 	}
 	for _, st := range restarting {
@@ -273,7 +136,84 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 			st.node.lane.scheduleTask(st.node.lane.instant, evSpoutCycle, st)
 		}
 	}
-	return len(moving) + len(restarting), nil
+	return len(changing), nil
+}
+
+// vacate retires st's executor from its current node — the step shared by
+// a migration, a restart and a tenant kill. The input queue drains on the
+// departing lane (the failed trees and released producers belong to the
+// placement the tuples ran under; a dead task's queue is already empty),
+// the busy time accrued here is credited to the node it ran on so
+// end-of-run utilization is attributed per host, and the in-memory working
+// set resets: the memory model's state-growth ramp re-warms from zero
+// wherever the executor runs next (inert with the model off — handled
+// feeds nothing else).
+func (s *Simulation) vacate(st *simTask) {
+	st.node.lane.drainQueue(st, true)
+	delta := st.tracker.Busy() - st.creditedBusy
+	st.node.departedWeighted += float64(delta) * st.comp.EffectiveCPUPoints()
+	st.creditedBusy = st.tracker.Busy()
+	st.handled = 0
+}
+
+// pausedRun checks that the simulation is paused between epochs (started,
+// not finished) and returns the named topology's run, or nil if no run
+// has that name.
+func (s *Simulation) pausedRun(name string) (*topoRun, error) {
+	if !s.started {
+		return nil, fmt.Errorf("simulation not started")
+	}
+	if s.finished {
+		return nil, fmt.Errorf("simulation already finished")
+	}
+	return s.findRun(name), nil
+}
+
+// findRun returns the run of the named topology, or nil.
+func (s *Simulation) findRun(name string) *topoRun {
+	for _, r := range s.runs {
+		if r.topo.Name() == name {
+			return r
+		}
+	}
+	return nil
+}
+
+// checkAssignment verifies that a is a complete assignment for topo.
+func checkAssignment(topo *topology.Topology, a *core.Assignment) error {
+	if a.Topology != topo.Name() {
+		return fmt.Errorf("assignment is for %q, topology is %q", a.Topology, topo.Name())
+	}
+	if !a.Complete(topo) {
+		return fmt.Errorf("assignment for %q is incomplete", topo.Name())
+	}
+	return nil
+}
+
+// checkTarget refuses to place a live executor on an unknown or a dead
+// node. Every entry point that places one (AddTopology, SubmitTopology,
+// Reassign) validates through it: a task on a dead node would never be
+// refrozen off the instant service channel, and its spout would re-emit
+// forever at one virtual instant.
+func (s *Simulation) checkTarget(taskID int, p core.Placement) error {
+	n, ok := s.nodes[p.Node]
+	if !ok {
+		return fmt.Errorf("task %d placed on unknown node %q", taskID, p.Node)
+	}
+	if n.dead {
+		return fmt.Errorf("task %d placed on dead node %q", taskID, p.Node)
+	}
+	return nil
+}
+
+// refreeze recomputes contention on every affected live node, in cluster
+// declaration order for determinism.
+func (s *Simulation) refreeze(affected map[*simNode]bool) {
+	for _, id := range s.order {
+		if n := s.nodes[id]; affected[n] && !n.dead {
+			s.freezeNode(n)
+		}
+	}
 }
 
 // DeadNodes returns the nodes killed by failure injection so far, in

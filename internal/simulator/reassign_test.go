@@ -6,6 +6,7 @@ import (
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/faults"
 	"rstorm/internal/topology"
 )
 
@@ -72,8 +73,8 @@ func TestDeadTaskInServiceReturnsCredit(t *testing.T) {
 	}
 	// Kill the bolt's node while it is mid-service (50ms services back to
 	// back: it is essentially always busy).
-	if err := sim.FailNodeAt(c.NodeIDs()[1], 1100*time.Millisecond); err != nil {
-		t.Fatalf("FailNodeAt: %v", err)
+	if err := sim.InjectFault(faults.Fault{Kind: faults.Crash, Node: c.NodeIDs()[1], At: 1100 * time.Millisecond}); err != nil {
+		t.Fatalf("InjectFault: %v", err)
 	}
 	res, err := sim.Run()
 	if err != nil {
@@ -199,7 +200,7 @@ func TestReassignRelievesOvercommit(t *testing.T) {
 		}
 		spread.Place(task.ID, p)
 	}
-	moved, err := sim.Reassign("elastic", spread)
+	moved, err := sim.Reassign("elastic", spread, nil)
 	if err != nil {
 		t.Fatalf("Reassign: %v", err)
 	}
@@ -222,7 +223,7 @@ func TestReassignRelievesOvercommit(t *testing.T) {
 	}
 
 	// Lifecycle and validation errors.
-	if _, err := sim.Reassign("elastic", spread); err == nil {
+	if _, err := sim.Reassign("elastic", spread, nil); err == nil {
 		t.Error("Reassign after Finish accepted")
 	}
 	if _, err := sim.Finish(); err == nil {
@@ -246,7 +247,7 @@ func TestReassignValidation(t *testing.T) {
 	if err := sim.AddTopology(topo, a); err != nil {
 		t.Fatalf("AddTopology: %v", err)
 	}
-	if _, err := sim.Reassign("chain", a); err == nil {
+	if _, err := sim.Reassign("chain", a, nil); err == nil {
 		t.Error("Reassign before Start accepted")
 	}
 	if err := sim.RunTo(time.Second); err == nil {
@@ -261,26 +262,26 @@ func TestReassignValidation(t *testing.T) {
 	if err := sim.Start(); err == nil {
 		t.Error("second Start accepted")
 	}
-	if _, err := sim.Reassign("ghost", a); err == nil {
+	if _, err := sim.Reassign("ghost", a, nil); err == nil {
 		t.Error("unknown topology accepted")
 	}
 	other := core.NewAssignment("other", "x")
-	if _, err := sim.Reassign("chain", other); err == nil {
+	if _, err := sim.Reassign("chain", other, nil); err == nil {
 		t.Error("mismatched assignment accepted")
 	}
 	incomplete := core.NewAssignment("chain", "x")
-	if _, err := sim.Reassign("chain", incomplete); err == nil {
+	if _, err := sim.Reassign("chain", incomplete, nil); err == nil {
 		t.Error("incomplete assignment accepted")
 	}
 	bad := core.NewAssignment("chain", "x")
 	for _, task := range topo.Tasks() {
 		bad.Place(task.ID, core.Placement{Node: "ghost-node", Slot: 0})
 	}
-	if _, err := sim.Reassign("chain", bad); err == nil {
+	if _, err := sim.Reassign("chain", bad, nil); err == nil {
 		t.Error("unknown node accepted")
 	}
 	// Identical assignment: a no-op, not an error.
-	if moved, err := sim.Reassign("chain", a); err != nil || moved != 0 {
+	if moved, err := sim.Reassign("chain", a, nil); err != nil || moved != 0 {
 		t.Errorf("no-op Reassign = %d, %v", moved, err)
 	}
 	if _, err := sim.Finish(); err != nil {

@@ -237,7 +237,7 @@ func TestShardedReassignDeterminism(t *testing.T) {
 				Node: ids[(idx[p.Node]+1)%len(ids)], Slot: p.Slot,
 			}
 		}
-		moved, err := sim.Reassign("sharded-det", next)
+		moved, err := sim.Reassign("sharded-det", next, nil)
 		if err != nil {
 			t.Fatalf("Reassign: %v", err)
 		}

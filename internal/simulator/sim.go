@@ -353,25 +353,34 @@ func (s *Simulation) AddTopology(topo *topology.Topology, a *core.Assignment) er
 	if s.started {
 		return fmt.Errorf("simulation already started")
 	}
-	_, err := s.addRun(topo, a)
-	return err
+	if err := s.checkNewRun(topo, a); err != nil {
+		return err
+	}
+	s.addRun(topo, a)
+	return nil
 }
 
-// addRun validates an assignment and constructs the topology's runtime
-// state, wiring its tasks onto their nodes and building delivery routers.
-// Shared by the pre-start AddTopology and the mid-run SubmitTopology.
-func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) (*topoRun, error) {
-	if a.Topology != topo.Name() {
-		return nil, fmt.Errorf("assignment is for %q, topology is %q", a.Topology, topo.Name())
+// checkNewRun validates a fresh topology's admission: a new name, and a
+// complete assignment placing every task on a known, live node.
+func (s *Simulation) checkNewRun(topo *topology.Topology, a *core.Assignment) error {
+	if err := checkAssignment(topo, a); err != nil {
+		return err
 	}
-	if !a.Complete(topo) {
-		return nil, fmt.Errorf("assignment for %q is incomplete", topo.Name())
+	if s.findRun(topo.Name()) != nil {
+		return fmt.Errorf("topology %q already added", topo.Name())
 	}
-	for _, r := range s.runs {
-		if r.topo.Name() == topo.Name() {
-			return nil, fmt.Errorf("topology %q already added", topo.Name())
+	for _, task := range topo.Tasks() {
+		if err := s.checkTarget(task.ID, a.Placements[task.ID]); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// addRun constructs a validated (checkNewRun) topology's runtime state,
+// wiring its tasks onto their nodes and building delivery routers.
+// Shared by the pre-start AddTopology and the mid-run SubmitTopology.
+func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) *topoRun {
 	run := &topoRun{
 		topo:       topo,
 		assignment: a,
@@ -391,10 +400,7 @@ func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) (*topoR
 	}
 	for _, task := range topo.Tasks() {
 		p := a.Placements[task.ID]
-		node, ok := s.nodes[p.Node]
-		if !ok {
-			return nil, fmt.Errorf("task %d placed on unknown node %q", task.ID, p.Node)
-		}
+		node := s.nodes[p.Node]
 		comp := topo.Component(task.Component)
 		st := &simTask{
 			run:       run,
@@ -421,7 +427,7 @@ func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) (*topoR
 	}
 	s.buildRouters(run)
 	s.runs = append(s.runs, run)
-	return run, nil
+	return run
 }
 
 // buildRouters (re)resolves the run's delivery edges. Path level, latency,
@@ -467,15 +473,6 @@ func (s *Simulation) buildRouters(run *topoRun) {
 			st.outs = append(st.outs, r)
 		}
 	}
-}
-
-// FailNodeAt schedules a node failure during the run: its tasks die,
-// queued tuples are dropped (their trees fail so spouts are not wedged),
-// and blocked senders are released. It is shorthand for injecting a Crash
-// fault and, like InjectFault, is legal both before Start and mid-run
-// between epochs.
-func (s *Simulation) FailNodeAt(node cluster.NodeID, at time.Duration) error {
-	return s.InjectFault(faults.Fault{Kind: faults.Crash, Node: node, At: at})
 }
 
 // Run executes the simulation in one shot and returns its Result. A
@@ -1013,14 +1010,6 @@ func (ln *simLane) dropTuple(tup *tuple) {
 	ln.failTuple(tup)
 }
 
-// migrateTuple abandons a tuple drained from a migrating task's queue (the
-// rebalance analogue of Storm's worker restart: in-flight tuples fail and
-// would be replayed by the spout).
-func (ln *simLane) migrateTuple(tup *tuple) {
-	ln.migrated++
-	ln.failTuple(tup)
-}
-
 // failTuple releases a tuple instance and fails its tree so the spout
 // recovers its max-pending credit rather than wedging.
 //
@@ -1080,15 +1069,29 @@ func (ln *simLane) failNode(id cluster.NodeID) {
 	n.crashedAt = ln.eng.Now()
 	for _, t := range n.tasks {
 		t.dead = true
-		tuples, unblocked := t.queue.drain()
-		for _, tup := range tuples {
-			ln.dropTuple(tup)
-		}
-		for _, comp := range unblocked {
-			ln.scheduleComplete(comp)
-		}
+		ln.drainQueue(t, false)
 	}
 	n.nic.fail(ln)
+}
+
+// drainQueue empties a task's input queue and releases the producers
+// parked on it. Every drained tuple fails its tree, so spouts recover
+// their max-pending credits; migrated tells the fate it is counted under:
+// Result.TuplesMigrated for an administrative move or kill,
+// Result.TuplesDropped for a crash or OOM kill.
+func (ln *simLane) drainQueue(t *simTask, migrated bool) {
+	tuples, unblocked := t.queue.drain()
+	for _, tup := range tuples {
+		if migrated {
+			ln.migrated++
+			ln.failTuple(tup)
+		} else {
+			ln.dropTuple(tup)
+		}
+	}
+	for _, comp := range unblocked {
+		ln.scheduleComplete(comp)
+	}
 }
 
 // newWindowed allocates a per-task metric series. The window is always a

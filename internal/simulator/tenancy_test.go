@@ -6,6 +6,7 @@ import (
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/faults"
 	"rstorm/internal/topology"
 )
 
@@ -271,6 +272,19 @@ func TestSubmitValidationMidRun(t *testing.T) {
 	bad.Place(0, core.Placement{Node: ids[0], Slot: 0})
 	if err := sim.SubmitTopology(other, bad); err == nil {
 		t.Error("incomplete assignment accepted")
+	}
+	// A placement on a crashed node refused: its tasks would keep the
+	// instant service channel (dead nodes never refreeze) and the spout
+	// would re-emit forever at one virtual instant.
+	crashed := ids[4]
+	if err := sim.InjectFault(faults.Fault{Kind: faults.Crash, Node: crashed, At: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunTo(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.SubmitTopology(other, pairAssignment(other, crashed, ids[5])); err == nil {
+		t.Error("placement on a dead node accepted")
 	}
 }
 

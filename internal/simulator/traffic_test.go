@@ -83,7 +83,7 @@ func TestReassignConservesEdgeCounters(t *testing.T) {
 	tasks := topo.Tasks()
 	next.Place(tasks[0].ID, core.Placement{Node: ids[len(ids)-1], Slot: 0})
 	next.Place(tasks[len(tasks)-1].ID, core.Placement{Node: ids[len(ids)-2], Slot: 0})
-	moved, err := sim.Reassign(topo.Name(), next)
+	moved, err := sim.Reassign(topo.Name(), next, nil)
 	if err != nil {
 		t.Fatalf("Reassign: %v", err)
 	}

@@ -104,7 +104,7 @@ func TestReassignMidWindowFlushesPartialWindow(t *testing.T) {
 	next := core.NewAssignment("pair", "manual")
 	next.Place(0, core.Placement{Node: ids[0], Slot: 0})
 	next.Place(1, core.Placement{Node: ids[2], Slot: 0})
-	if moved, err := sim.Reassign("pair", next); err != nil || moved != 1 {
+	if moved, err := sim.Reassign("pair", next, nil); err != nil || moved != 1 {
 		t.Fatalf("Reassign = %d, %v, want 1 move", moved, err)
 	}
 	if _, err := sim.Finish(); err != nil {
